@@ -62,14 +62,16 @@ class Status {
   // "OK" or "<CodeName>: <message>".
   std::string ToString() const;
 
+  // For code that carries its error code as data (a decoder that reports
+  // every failure under one caller-chosen code); prefer the named factories.
+  Status(StatusCode code, std::string msg)
+      : code_(code), message_(std::move(msg)) {}
+
   bool operator==(const Status& other) const {
     return code_ == other.code_ && message_ == other.message_;
   }
 
  private:
-  Status(StatusCode code, std::string msg)
-      : code_(code), message_(std::move(msg)) {}
-
   StatusCode code_;
   std::string message_;
 };

@@ -27,40 +27,22 @@ Status SendOn(Transport& transport, DistMessageType type,
 }  // namespace
 
 Result<std::unique_ptr<DistWorkerPool>> DistWorkerPool::Start(
-    const DistWorkerConfig& base, const std::vector<IndexRange>& shards) {
-  if (shards.empty()) {
-    return Status::InvalidArgument("worker pool needs at least one shard");
-  }
-  // No public constructor, so no make_unique.
-  std::unique_ptr<DistWorkerPool> pool(new DistWorkerPool());
-  pool->workers_.resize(shards.size());
-  for (size_t w = 0; w < shards.size(); ++w) {
-    Worker& worker = pool->workers_[w];
-    worker.config = base;
-    worker.config.worker_id = static_cast<uint32_t>(w);
-    worker.config.generation = 0;
-    worker.config.block_begin = shards[w].begin;
-    worker.config.block_end = shards[w].end;
-    worker.stats.worker_id = worker.config.worker_id;
-    QARM_RETURN_NOT_OK(pool->Fork(w));
-  }
-  return pool;
-}
-
-Result<std::unique_ptr<DistWorkerPool>> DistWorkerPool::Connect(
     const DistWorkerConfig& base, const std::vector<IndexRange>& shards,
-    const DistTcpOptions& tcp) {
+    const QbtFileSource& file, const DistTcpOptions& tcp) {
   if (shards.empty()) {
     return Status::InvalidArgument("worker pool needs at least one shard");
   }
-  if (shards.size() > tcp.endpoints.size()) {
+  if (!tcp.endpoints.empty() && shards.size() > tcp.endpoints.size()) {
     return Status::InvalidArgument(StrFormat(
         "%zu shards need at least as many worker endpoints, got %zu",
         shards.size(), tcp.endpoints.size()));
   }
+  // No public constructor, so no make_unique.
   std::unique_ptr<DistWorkerPool> pool(new DistWorkerPool());
-  pool->tcp_mode_ = true;
   pool->tcp_ = tcp;
+  pool->num_rows_ = file.num_rows();
+  pool->num_blocks_ = file.num_blocks();
+  pool->index_crc_ = file.reader().IndexPrefixCrc(file.num_blocks());
   pool->workers_.resize(shards.size());
   for (size_t w = 0; w < shards.size(); ++w) {
     Worker& worker = pool->workers_[w];
@@ -69,10 +51,14 @@ Result<std::unique_ptr<DistWorkerPool>> DistWorkerPool::Connect(
     worker.config.generation = 0;
     worker.config.block_begin = shards[w].begin;
     worker.config.block_end = shards[w].end;
-    worker.config.heartbeat_ms = tcp.heartbeat_ms;
     worker.endpoint = w;
     worker.stats.worker_id = worker.config.worker_id;
-    QARM_RETURN_NOT_OK(pool->ConnectWorker(w));
+    if (pool->tcp_mode()) {
+      worker.config.heartbeat_ms = tcp.heartbeat_ms;
+      QARM_RETURN_NOT_OK(pool->ConnectWorker(w));
+    } else {
+      QARM_RETURN_NOT_OK(pool->Fork(w));
+    }
   }
   return pool;
 }
@@ -108,6 +94,69 @@ std::vector<DistWorkerStats> DistWorkerPool::WorkerStats() const {
   return stats;
 }
 
+Status DistWorkerPool::Handshake(size_t w, Transport& transport,
+                                 const std::string& peer,
+                                 bool* channel_failed) {
+  Worker& worker = workers_[w];
+  const DistWorkerConfig& config = worker.config;
+  DistHello hello;
+  hello.worker_id = config.worker_id;
+  hello.generation = config.generation;
+  hello.block_begin = config.block_begin;
+  hello.block_end = config.block_end;
+  hello.fingerprint = config.fingerprint;
+  hello.num_threads = config.options.num_threads;
+  hello.counter_memory_budget_bytes =
+      config.options.counter_memory_budget_bytes;
+  hello.parallel_replication_budget_bytes =
+      config.options.parallel_replication_budget_bytes;
+  hello.stream_block_rows = config.options.stream_block_rows;
+  hello.heartbeat_ms = config.heartbeat_ms;
+  hello.io_timeout_ms = tcp_mode() ? tcp_.io_timeout_ms : 0;
+  hello.inject_faults_spec = config.options.inject_faults_spec;
+  std::string payload;
+  EncodeHello(hello, &payload);
+
+  *channel_failed = true;
+  QARM_RETURN_NOT_OK(SendOn(transport, DistMessageType::kHello, payload,
+                            &worker.stats.bytes_sent));
+  QARM_ASSIGN_OR_RETURN(DistFrame reply,
+                        RecvFrame(transport, &worker.stats.bytes_received));
+  *channel_failed = false;
+  if (reply.type == static_cast<uint32_t>(DistMessageType::kError)) {
+    return Status::IOError(StrFormat("worker %s rejected the handshake: %s",
+                                     peer.c_str(), reply.payload.c_str()));
+  }
+  if (reply.type != static_cast<uint32_t>(DistMessageType::kHelloAck)) {
+    return Status::Internal(
+        StrFormat("worker %s answered the Hello with frame type %u",
+                  peer.c_str(), reply.type));
+  }
+  QARM_ASSIGN_OR_RETURN(
+      DistHelloAck ack,
+      ParseHelloAck(reinterpret_cast<const uint8_t*>(reply.payload.data()),
+                    reply.payload.size()));
+  if (ack.worker_id != config.worker_id ||
+      ack.generation != config.generation ||
+      ack.fingerprint != config.fingerprint) {
+    return Status::Internal(
+        StrFormat("worker %s acked a different assignment", peer.c_str()));
+  }
+  if (ack.num_rows != num_rows_ || ack.num_blocks != num_blocks_ ||
+      ack.index_crc != index_crc_) {
+    return Status::InvalidArgument(StrFormat(
+        "worker %s serves a different QBT (rows %llu vs %llu, blocks %llu "
+        "vs %llu, index crc %08x vs %08x) — every worker must serve the "
+        "same table file as the coordinator",
+        peer.c_str(), static_cast<unsigned long long>(ack.num_rows),
+        static_cast<unsigned long long>(num_rows_),
+        static_cast<unsigned long long>(ack.num_blocks),
+        static_cast<unsigned long long>(num_blocks_), ack.index_crc,
+        index_crc_));
+  }
+  return Status::OK();
+}
+
 Status DistWorkerPool::Fork(size_t w) {
   int fds[2];
   if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
@@ -121,18 +170,23 @@ Status DistWorkerPool::Fork(size_t w) {
   }
   if (pid == 0) {
     // Child: drop the coordinator end and every sibling channel, then serve
-    // requests until shutdown. _Exit skips the coordinator's atexit state —
-    // this process must never run coordinator teardown.
+    // one session: its assignment arrives in the Hello, exactly as over
+    // TCP. _Exit skips the coordinator's atexit state — this process must
+    // never run coordinator teardown.
     ::close(fds[0]);
     for (const Worker& other : workers_) {
       if (other.transport != nullptr) other.transport->Close();
     }
-    std::_Exit(RunDistWorker(fds[1], workers_[w].config));
+    std::_Exit(RunDistWorker(fds[1], workers_[w].config.qbt_path));
   }
   ::close(fds[1]);
-  workers_[w].transport = std::make_unique<FdTransport>(fds[0]);
-  workers_[w].pid = pid;
-  return Status::OK();
+  Worker& worker = workers_[w];
+  worker.transport = std::make_unique<FdTransport>(fds[0]);
+  worker.pid = pid;
+  bool channel_failed = false;
+  return Handshake(w, *worker.transport,
+                   StrFormat("process %d", static_cast<int>(pid)),
+                   &channel_failed);
 }
 
 Status DistWorkerPool::ConnectWorker(size_t w) {
@@ -142,24 +196,6 @@ Status DistWorkerPool::ConnectWorker(size_t w) {
   policy.max_attempts = std::max<size_t>(1, tcp_.connect_attempts);
   policy.initial_backoff_ms = tcp_.connect_backoff_ms;
   policy.max_backoff_ms = std::max(tcp_.connect_backoff_ms * 16.0, 1000.0);
-
-  DistHello hello;
-  hello.worker_id = worker.config.worker_id;
-  hello.generation = worker.config.generation;
-  hello.block_begin = worker.config.block_begin;
-  hello.block_end = worker.config.block_end;
-  hello.fingerprint = worker.config.fingerprint;
-  hello.num_threads = worker.config.options.num_threads;
-  hello.counter_memory_budget_bytes =
-      worker.config.options.counter_memory_budget_bytes;
-  hello.parallel_replication_budget_bytes =
-      worker.config.options.parallel_replication_budget_bytes;
-  hello.stream_block_rows = worker.config.options.stream_block_rows;
-  hello.heartbeat_ms = worker.config.heartbeat_ms;
-  hello.io_timeout_ms = tcp_.io_timeout_ms;
-  hello.inject_faults_spec = worker.config.options.inject_faults_spec;
-  std::string hello_payload;
-  EncodeHello(hello, &hello_payload);
 
   // Walk the endpoint ring from the worker's pin: the same endpoint first
   // (a restarted server replays), then the survivors (redistribution).
@@ -185,52 +221,13 @@ Status DistWorkerPool::ConnectWorker(size_t w) {
     }
     auto transport = std::make_unique<TcpTransport>(fd, tcp_.io_timeout_ms,
                                                     tcp_.io_timeout_ms);
-    const Status shook = SendOn(*transport, DistMessageType::kHello,
-                                hello_payload, &worker.stats.bytes_sent);
+    bool channel_failed = false;
+    const Status shook = Handshake(w, *transport, "endpoint " + endpoint.text,
+                                   &channel_failed);
     if (!shook.ok()) {
+      if (!channel_failed) return shook;
       last = shook;
       continue;
-    }
-    Result<DistFrame> reply =
-        RecvFrame(*transport, &worker.stats.bytes_received);
-    if (!reply.ok()) {
-      last = reply.status();
-      continue;
-    }
-    if (reply->type == static_cast<uint32_t>(DistMessageType::kError)) {
-      return Status::IOError(StrFormat(
-          "worker endpoint %s rejected the handshake: %s",
-          endpoint.text.c_str(), reply->payload.c_str()));
-    }
-    if (reply->type != static_cast<uint32_t>(DistMessageType::kHelloAck)) {
-      return Status::Internal(StrFormat(
-          "worker endpoint %s answered the Hello with frame type %u",
-          endpoint.text.c_str(), reply->type));
-    }
-    Result<DistHelloAck> ack = ParseHelloAck(
-        reinterpret_cast<const uint8_t*>(reply->payload.data()),
-        reply->payload.size());
-    if (!ack.ok()) return ack.status();
-    if (ack->worker_id != worker.config.worker_id ||
-        ack->generation != worker.config.generation ||
-        ack->fingerprint != worker.config.fingerprint) {
-      return Status::Internal(StrFormat(
-          "worker endpoint %s acked a different assignment",
-          endpoint.text.c_str()));
-    }
-    if (ack->num_rows != tcp_.expected_num_rows ||
-        ack->num_blocks != tcp_.expected_num_blocks ||
-        ack->index_crc != tcp_.expected_index_crc) {
-      return Status::InvalidArgument(StrFormat(
-          "worker endpoint %s serves a different QBT (rows %llu vs %llu, "
-          "blocks %llu vs %llu, index crc %08x vs %08x) — every worker "
-          "must serve the same table file as the coordinator",
-          endpoint.text.c_str(),
-          static_cast<unsigned long long>(ack->num_rows),
-          static_cast<unsigned long long>(tcp_.expected_num_rows),
-          static_cast<unsigned long long>(ack->num_blocks),
-          static_cast<unsigned long long>(tcp_.expected_num_blocks),
-          ack->index_crc, tcp_.expected_index_crc));
     }
     worker.endpoint = e;
     worker.stats.endpoint = endpoint.text;
@@ -269,7 +266,7 @@ Status DistWorkerPool::RespawnAndReplay(size_t w,
                     << worker.config.generation << ") and replaying blocks ["
                     << worker.config.block_begin << ", "
                     << worker.config.block_end << ")";
-  if (tcp_mode_) {
+  if (tcp_mode()) {
     const size_t previous_endpoint = worker.endpoint;
     QARM_RETURN_NOT_OK(ConnectWorker(w));
     ++worker.stats.reconnects;

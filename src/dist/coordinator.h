@@ -33,18 +33,13 @@
 
 namespace qarm {
 
-// TCP-mode connection parameters plus the coordinator's view of the QBT,
-// cross-checked against every HelloAck so a worker serving a stale or
-// different shard copy is rejected at handshake time.
+// TCP-mode connection parameters. No endpoints means fork mode.
 struct DistTcpOptions {
   std::vector<WorkerEndpoint> endpoints;
   uint64_t io_timeout_ms = 30000;   // per-frame read/write deadline
   uint64_t heartbeat_ms = 1000;     // worker liveness interval (< timeout)
   size_t connect_attempts = 10;     // per endpoint, with backoff
   double connect_backoff_ms = 50.0;
-  uint64_t expected_num_rows = 0;
-  uint64_t expected_num_blocks = 0;
-  uint32_t expected_index_crc = 0;
 };
 
 class DistWorkerPool {
@@ -55,21 +50,20 @@ class DistWorkerPool {
   // fails_per_block <= this bound is ridden out.
   static constexpr size_t kMaxRespawnsPerWorker = 5;
 
-  // Forks one worker per shard (worker w counts blocks
-  // [shards[w].begin, shards[w].end) of base.qbt_path). `base` supplies
-  // everything except worker_id/generation/block range. Must be called
-  // while the calling process has no live threads (thread pools in this
-  // codebase are ephemeral, so any point between phases qualifies).
+  // Brings up one worker per shard (worker w counts blocks
+  // [shards[w].begin, shards[w].end)); `base` supplies everything except
+  // worker_id/generation/block range. With no tcp.endpoints, each worker is
+  // a forked child that opens base.qbt_path; this must be called while the
+  // calling process has no live threads (thread pools in this codebase are
+  // ephemeral, so any point between phases qualifies). Otherwise worker w
+  // is a TCP session pinned to tcp.endpoints[w] (shards.size() <=
+  // endpoints.size(); spare endpoints stay idle as redistribution targets).
+  // Either way every worker opens with the versioned Hello/HelloAck
+  // handshake (dist/handshake.h), and its HelloAck must describe the same
+  // table as `file`, the coordinator's own view of the QBT.
   static Result<std::unique_ptr<DistWorkerPool>> Start(
-      const DistWorkerConfig& base, const std::vector<IndexRange>& shards);
-
-  // TCP mode: connects one session per shard, worker w pinned to
-  // tcp.endpoints[w] (shards.size() <= endpoints.size(); spare endpoints
-  // stay idle as redistribution targets). Each session opens with the
-  // versioned Hello/HelloAck handshake (dist/handshake.h).
-  static Result<std::unique_ptr<DistWorkerPool>> Connect(
       const DistWorkerConfig& base, const std::vector<IndexRange>& shards,
-      const DistTcpOptions& tcp);
+      const QbtFileSource& file, const DistTcpOptions& tcp);
 
   // Shuts down every worker (fork mode reaps the children; TCP mode just
   // closes the sessions — the servers keep serving other runs).
@@ -108,6 +102,15 @@ class DistWorkerPool {
 
   DistWorkerPool() = default;
 
+  bool tcp_mode() const { return !tcp_.endpoints.empty(); }
+
+  // Sends worker w's Hello over `transport` and checks the HelloAck against
+  // its assignment and the coordinator's view of the QBT. `peer` names the
+  // worker in diagnostics. *channel_failed tells a dead channel (worth
+  // another endpoint) from a deterministic rejection (fatal).
+  Status Handshake(size_t w, Transport& transport, const std::string& peer,
+                   bool* channel_failed);
+  // Fork mode: fork the child, then handshake over its socketpair.
   Status Fork(size_t w);
   // TCP: connect + handshake, walking the endpoint ring from the worker's
   // current pin — so a reconnect tries the same endpoint first (replay)
@@ -133,8 +136,13 @@ class DistWorkerPool {
                                             DistMessageType reply_type,
                                             DistPassStats* stats);
 
-  bool tcp_mode_ = false;
   DistTcpOptions tcp_;
+  // The coordinator's view of the QBT, cross-checked against every HelloAck
+  // so a worker serving a stale or different copy is rejected at handshake
+  // time, not discovered as a count mismatch passes later.
+  uint64_t num_rows_ = 0;
+  uint64_t num_blocks_ = 0;
+  uint32_t index_crc_ = 0;
   std::vector<Worker> workers_;
   std::string catalog_payload_;  // retained for respawn replay
   size_t workers_respawned_ = 0;

@@ -89,22 +89,14 @@ Result<MiningResult> MineDistributedQbt(const std::string& qbt_path,
   base.fingerprint = ComputeMiningFingerprint(options, *source);
   const std::vector<IndexRange> shards =
       SplitRange(source->num_blocks(), effective);
-  std::unique_ptr<DistWorkerPool> pool;
-  if (tcp_mode) {
-    DistTcpOptions tcp;
-    tcp.endpoints = std::move(endpoints);
-    tcp.io_timeout_ms = options.dist_io_timeout_ms;
-    tcp.heartbeat_ms = options.dist_heartbeat_ms;
-    tcp.connect_attempts = options.dist_connect_attempts;
-    tcp.connect_backoff_ms = options.dist_connect_backoff_ms;
-    tcp.expected_num_rows = source->num_rows();
-    tcp.expected_num_blocks = source->num_blocks();
-    tcp.expected_index_crc =
-        source->reader().IndexPrefixCrc(source->num_blocks());
-    QARM_ASSIGN_OR_RETURN(pool, DistWorkerPool::Connect(base, shards, tcp));
-  } else {
-    QARM_ASSIGN_OR_RETURN(pool, DistWorkerPool::Start(base, shards));
-  }
+  DistTcpOptions tcp;
+  tcp.endpoints = std::move(endpoints);
+  tcp.io_timeout_ms = options.dist_io_timeout_ms;
+  tcp.heartbeat_ms = options.dist_heartbeat_ms;
+  tcp.connect_attempts = options.dist_connect_attempts;
+  tcp.connect_backoff_ms = options.dist_connect_backoff_ms;
+  QARM_ASSIGN_OR_RETURN(std::unique_ptr<DistWorkerPool> pool,
+                        DistWorkerPool::Start(base, shards, *source, tcp));
 
   DistRunStats dist;
   dist.num_workers = pool->num_workers();

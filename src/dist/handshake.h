@@ -1,8 +1,9 @@
-// The versioned Hello/HelloAck handshake that opens every TCP worker
-// session. Fork-mode workers inherit their DistWorkerConfig through fork;
-// a remote worker instead receives it as the connection's first frame:
+// The versioned Hello/HelloAck handshake that opens every worker session,
+// forked or TCP: the worker learns its assignment and execution knobs from
+// the connection's first frame (dist/worker.h ServeWorkerSession), never
+// through fork.
 //
-//   coordinator                          worker (qarm worker --listen=...)
+//   coordinator                          worker (forked, or `qarm worker`)
 //   ------------------------------------------------------------------
 //   kHello (DistHello)               ->
 //                                    <-  kHelloAck (DistHelloAck)
@@ -22,11 +23,11 @@
 // stale or wrong shard copy is rejected at handshake time, not as a count
 // mismatch three passes later.
 //
-// Every field is validated against the payload's remaining size before any
-// allocation (the QBT/QRS division-form discipline), and a version
-// mismatch is reported as its own InvalidArgument — a peer speaking a
-// different protocol must produce a readable diagnostic, not a CRC error
-// or a truncated-message complaint.
+// Both payloads decode through ByteReader (storage/qbt_format.h): every
+// field is bounds-checked before use, and the fault-spec length is capped
+// before it allocates. A version mismatch is reported as its own
+// InvalidArgument — a peer speaking a different protocol must produce a
+// readable diagnostic, not a CRC error or a truncated-message complaint.
 #ifndef QARM_DIST_HANDSHAKE_H_
 #define QARM_DIST_HANDSHAKE_H_
 
@@ -77,9 +78,10 @@ struct DistHelloAck {
   uint32_t index_crc = 0;  // block-index prefix CRC over num_blocks entries
 };
 
+// Both parsers: InvalidArgument on a version mismatch (the message names
+// both versions); IOError on truncation, an over-cap fault spec, an
+// inverted block range, or trailing bytes.
 void EncodeHello(const DistHello& hello, std::string* out);
-// InvalidArgument on a version mismatch (message names both versions);
-// IOError on truncation, oversized fields, or trailing bytes.
 Result<DistHello> ParseHello(const uint8_t* data, size_t size);
 
 void EncodeHelloAck(const DistHelloAck& ack, std::string* out);

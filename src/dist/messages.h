@@ -1,8 +1,10 @@
 // Message vocabulary of the coordinator <-> worker protocol, layered on
 // dist/framing.h. The frame type carries the DistMessageType; payloads are
-// encoded with the QBT little-endian helpers.
+// encoded with the QBT little-endian helpers and decoded with ByteReader
+// (storage/qbt_format.h), every failure an IOError.
 //
-// Protocol (lockstep, one outstanding request per worker):
+// Protocol (lockstep, one outstanding request per worker), after the
+// Hello/HelloAck handshake that opens every session:
 //   coordinator                      worker
 //   ----------------------------------------------------------------
 //   kPass1Request (empty)        ->
@@ -37,8 +39,7 @@ enum class DistMessageType : uint32_t {
   kCountReply = 5,
   kShutdown = 6,
   kError = 7,
-  // TCP sessions only (dist/handshake.h). A fork-mode worker inherits its
-  // config through fork and never sees these.
+  // The session opener in both worker modes (dist/handshake.h).
   kHello = 8,     // coordinator -> worker: versioned DistWorkerConfig
   kHelloAck = 9,  // worker -> coordinator: identity echo + shard identity
   // Liveness while a long counting pass runs: the worker emits these

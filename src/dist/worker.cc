@@ -164,7 +164,81 @@ uint64_t TestExitAfterFrames() {
   return std::strtoull(env, nullptr, 10);
 }
 
-}  // namespace
+// Builds the session's worker config from a validated Hello. The Hello
+// carries only execution knobs — everything that shapes the *output*
+// arrives later through the request stream (the catalog broadcast, the
+// candidate lists), so defaulted MinerOptions fields here are harmless.
+DistWorkerConfig ConfigFromHello(const DistHello& hello) {
+  DistWorkerConfig config;
+  config.worker_id = hello.worker_id;
+  config.generation = hello.generation;
+  config.block_begin = static_cast<size_t>(hello.block_begin);
+  config.block_end = static_cast<size_t>(hello.block_end);
+  config.fingerprint = hello.fingerprint;
+  config.heartbeat_ms = hello.heartbeat_ms;
+  config.options.num_threads = static_cast<size_t>(hello.num_threads);
+  config.options.counter_memory_budget_bytes =
+      hello.counter_memory_budget_bytes;
+  config.options.parallel_replication_budget_bytes =
+      hello.parallel_replication_budget_bytes;
+  config.options.stream_block_rows =
+      static_cast<size_t>(hello.stream_block_rows);
+  config.options.inject_faults_spec = hello.inject_faults_spec;
+  return config;
+}
+
+Status SendError(Transport& transport, const Status& status) {
+  return SendFrame(transport, static_cast<uint32_t>(DistMessageType::kError),
+                   status.ToString());
+}
+
+// The Hello in a session's first frame, validated against `file`, with the
+// session armed from it.
+Result<DistHello> AcceptHello(const DistFrame& first,
+                              const QbtFileSource& file,
+                              const SessionArm& arm) {
+  if (static_cast<DistMessageType>(first.type) != DistMessageType::kHello) {
+    return Status::InvalidArgument("expected a Hello as the first frame");
+  }
+  QARM_ASSIGN_OR_RETURN(
+      DistHello hello,
+      ParseHello(reinterpret_cast<const uint8_t*>(first.payload.data()),
+                 first.payload.size()));
+  if (hello.block_end > file.num_blocks()) {
+    return Status::InvalidArgument(StrFormat(
+        "hello block range [%llu, %llu) exceeds the %zu blocks of the "
+        "worker's QBT",
+        static_cast<unsigned long long>(hello.block_begin),
+        static_cast<unsigned long long>(hello.block_end), file.num_blocks()));
+  }
+  if (arm) QARM_RETURN_NOT_OK(arm(hello));
+  return hello;
+}
+
+// Reads and accepts the Hello, then sends the HelloAck. A rejected Hello is
+// answered with a best-effort kError frame.
+Result<DistWorkerConfig> Handshake(Transport& transport,
+                                   const QbtFileSource& file,
+                                   const SessionArm& arm) {
+  QARM_ASSIGN_OR_RETURN(DistFrame first, RecvFrame(transport));
+  Result<DistHello> hello = AcceptHello(first, file, arm);
+  if (!hello.ok()) {
+    (void)SendError(transport, hello.status());
+    return hello.status();
+  }
+  DistHelloAck ack;
+  ack.worker_id = hello->worker_id;
+  ack.generation = hello->generation;
+  ack.fingerprint = hello->fingerprint;
+  ack.num_rows = file.num_rows();
+  ack.num_blocks = file.num_blocks();
+  ack.index_crc = file.reader().IndexPrefixCrc(file.num_blocks());
+  std::string payload;
+  EncodeHelloAck(ack, &payload);
+  QARM_RETURN_NOT_OK(SendFrame(
+      transport, static_cast<uint32_t>(DistMessageType::kHelloAck), payload));
+  return ConfigFromHello(*hello);
+}
 
 Status RunWorkerSession(Transport& transport, const DistWorkerConfig& config,
                         const RecordSource& file) {
@@ -268,19 +342,25 @@ Status RunWorkerSession(Transport& transport, const DistWorkerConfig& config,
   }
 }
 
-int RunDistWorker(int fd, const DistWorkerConfig& config) {
+}  // namespace
+
+Status ServeWorkerSession(Transport& transport, const QbtFileSource& file,
+                          const SessionArm& arm) {
+  QARM_ASSIGN_OR_RETURN(const DistWorkerConfig config,
+                        Handshake(transport, file, arm));
+  return RunWorkerSession(transport, config, file);
+}
+
+int RunDistWorker(int fd, const std::string& qbt_path) {
   FdTransport transport(fd);
   Result<std::unique_ptr<QbtFileSource>> opened =
-      QbtFileSource::Open(config.qbt_path);
+      QbtFileSource::Open(qbt_path);
   if (!opened.ok()) {
-    const Status sent =
-        SendFrame(transport, static_cast<uint32_t>(DistMessageType::kError),
-                  opened.status().ToString());
-    (void)sent;
+    // The coordinator is waiting for the HelloAck; this is its answer.
+    (void)SendError(transport, opened.status());
     return 1;
   }
-  const Status served = RunWorkerSession(transport, config, **opened);
-  return served.ok() ? 0 : 1;
+  return ServeWorkerSession(transport, **opened, SessionArm()).ok() ? 0 : 1;
 }
 
 }  // namespace qarm

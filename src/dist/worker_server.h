@@ -5,10 +5,11 @@
 // worker dies, the coordinator connects a second session to a survivor
 // carrying the dead worker's shard assignment in the Hello.
 //
-// Connection lifecycle:
-//   accept -> RecvFrame (must be kHello) -> ParseHello -> arm faults and
-//   the write deadline from the Hello -> send kHelloAck (shard identity:
-//   rows, blocks, index CRC) -> RunWorkerSession until shutdown/EOF.
+// Connection lifecycle: accept -> ServeWorkerSession (dist/worker.h: the
+// Hello/HelloAck handshake a forked worker also runs, then the request
+// loop until shutdown/EOF). The only TCP-specific step is arming the
+// session's write deadline and network faults from the Hello, before the
+// HelloAck goes out.
 //
 // A connection that opens with garbage (bad magic, truncated Hello, a
 // version mismatch) gets a best-effort kError frame and is closed; the
@@ -53,6 +54,8 @@ class WorkerServer {
   void Stop();
 
   uint16_t port() const { return port_; }
+  // Sessions whose Hello was accepted (counted before the HelloAck goes
+  // out, so a coordinator that saw the ack also sees the count).
   uint64_t sessions_served() const {
     return sessions_served_.load(std::memory_order_relaxed);
   }

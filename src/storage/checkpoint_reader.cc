@@ -11,115 +11,49 @@
 namespace qarm {
 namespace {
 
-// Bounded cursor over the payload. Every Read* call checks the remaining
-// byte budget first, so a hostile or truncated checkpoint can neither read
-// out of bounds nor trigger an oversized allocation: element counts are
-// validated in division form (count <= remaining / element_size) before any
-// vector is resized.
-class PayloadCursor {
- public:
-  PayloadCursor(const uint8_t* data, size_t size) : data_(data), size_(size) {}
-
-  size_t remaining() const { return size_ - pos_; }
-
-  Status ReadU32(uint32_t* out) {
-    QARM_RETURN_NOT_OK(Need(4));
-    *out = QbtReadU32(data_ + pos_);
-    pos_ += 4;
-    return Status::OK();
-  }
-  Status ReadU64(uint64_t* out) {
-    QARM_RETURN_NOT_OK(Need(8));
-    *out = QbtReadU64(data_ + pos_);
-    pos_ += 8;
-    return Status::OK();
-  }
-  Status ReadI32Array(size_t count, std::vector<int32_t>* out) {
-    QARM_RETURN_NOT_OK(NeedCount(count, 4));
-    out->resize(count);
-    for (size_t i = 0; i < count; ++i) {
-      (*out)[i] = QbtReadI32(data_ + pos_ + i * 4);
-    }
-    pos_ += count * 4;
-    return Status::OK();
-  }
-  Status ReadU64Array(size_t count, std::vector<uint64_t>* out) {
-    QARM_RETURN_NOT_OK(NeedCount(count, 8));
-    out->resize(count);
-    for (size_t i = 0; i < count; ++i) {
-      (*out)[i] = QbtReadU64(data_ + pos_ + i * 8);
-    }
-    pos_ += count * 8;
-    return Status::OK();
-  }
-  // Count declared for elements of `element_size` bytes each; rejects
-  // counts the remaining payload cannot possibly hold.
-  Status NeedCount(uint64_t count, size_t element_size) const {
-    if (count > remaining() / element_size) {
-      return Status::InvalidArgument(StrFormat(
-          "checkpoint declares %llu elements but only %zu bytes remain",
-          static_cast<unsigned long long>(count), remaining()));
-    }
-    return Status::OK();
-  }
-
- private:
-  Status Need(size_t bytes) const {
-    if (remaining() < bytes) {
-      return Status::InvalidArgument("checkpoint payload truncated");
-    }
-    return Status::OK();
-  }
-
-  const uint8_t* data_;
-  size_t size_;
-  size_t pos_ = 0;
-};
-
-Status ParseValueCounts(PayloadCursor* cursor,
+Status ParseValueCounts(ByteReader* in,
                         std::vector<std::vector<uint64_t>>* value_counts) {
   uint32_t num_value_vectors = 0;
-  QARM_RETURN_NOT_OK(cursor->ReadU32(&num_value_vectors));
-  QARM_RETURN_NOT_OK(cursor->NeedCount(num_value_vectors, 8));
+  QARM_RETURN_NOT_OK(in->ReadU32(&num_value_vectors));
+  QARM_RETURN_NOT_OK(in->NeedCount(num_value_vectors, 8));
   value_counts->resize(num_value_vectors);
   for (std::vector<uint64_t>& counts : *value_counts) {
     uint64_t num_values = 0;
-    QARM_RETURN_NOT_OK(cursor->ReadU64(&num_values));
-    QARM_RETURN_NOT_OK(
-        cursor->ReadU64Array(static_cast<size_t>(num_values), &counts));
+    QARM_RETURN_NOT_OK(in->ReadU64(&num_values));
+    QARM_RETURN_NOT_OK(in->ReadU64Array(num_values, &counts));
   }
   return Status::OK();
 }
 
-Status ParseCatalogSection(PayloadCursor* cursor, CheckpointCatalog* catalog) {
-  QARM_RETURN_NOT_OK(cursor->ReadU64(&catalog->num_records));
-  QARM_RETURN_NOT_OK(cursor->ReadU64(&catalog->items_pruned_by_interest));
+Status ParseCatalogSection(ByteReader* in, CheckpointCatalog* catalog) {
+  QARM_RETURN_NOT_OK(in->ReadU64(&catalog->num_records));
+  QARM_RETURN_NOT_OK(in->ReadU64(&catalog->items_pruned_by_interest));
   uint64_t num_items = 0;
-  QARM_RETURN_NOT_OK(cursor->ReadU64(&num_items));
-  QARM_RETURN_NOT_OK(cursor->NeedCount(num_items, 3 * 4 + 8));
-  QARM_RETURN_NOT_OK(
-      cursor->ReadI32Array(static_cast<size_t>(num_items) * 3,
-                           &catalog->item_words));
-  QARM_RETURN_NOT_OK(cursor->ReadU64Array(static_cast<size_t>(num_items),
-                                          &catalog->item_counts));
-  return ParseValueCounts(cursor, &catalog->value_counts);
+  QARM_RETURN_NOT_OK(in->ReadU64(&num_items));
+  QARM_RETURN_NOT_OK(in->NeedCount(num_items, 3 * 4 + 8));
+  QARM_RETURN_NOT_OK(in->ReadI32Array(num_items * 3, &catalog->item_words));
+  QARM_RETURN_NOT_OK(in->ReadU64Array(num_items, &catalog->item_counts));
+  return ParseValueCounts(in, &catalog->value_counts);
 }
 
 Status ParsePayload(const uint8_t* data, size_t size, uint32_t version,
                     CheckpointState* state) {
-  PayloadCursor cursor(data, size);
-  QARM_RETURN_NOT_OK(cursor.ReadU64(&state->fingerprint));
-  QARM_RETURN_NOT_OK(cursor.ReadU64(&state->num_rows));
-  QARM_RETURN_NOT_OK(cursor.ReadU32(&state->num_attributes));
+  // Decode failures are InvalidArgument (a corrupt file the caller must
+  // not trust); only a checksum mismatch is an IOError.
+  ByteReader in(data, size, StatusCode::kInvalidArgument,
+                "checkpoint payload");
+  QARM_RETURN_NOT_OK(in.ReadU64(&state->fingerprint));
+  QARM_RETURN_NOT_OK(in.ReadU64(&state->num_rows));
+  QARM_RETURN_NOT_OK(in.ReadU32(&state->num_attributes));
   if (version >= 2) {
-    QARM_RETURN_NOT_OK(cursor.ReadU32(&state->flags));
-    QARM_RETURN_NOT_OK(cursor.ReadU64(&state->options_fingerprint));
-    QARM_RETURN_NOT_OK(cursor.ReadU64(&state->base_num_blocks));
-    QARM_RETURN_NOT_OK(cursor.ReadU32(&state->base_index_crc));
+    QARM_RETURN_NOT_OK(in.ReadU32(&state->flags));
+    QARM_RETURN_NOT_OK(in.ReadU64(&state->options_fingerprint));
+    QARM_RETURN_NOT_OK(in.ReadU64(&state->base_num_blocks));
+    QARM_RETURN_NOT_OK(in.ReadU32(&state->base_index_crc));
   }
 
   CheckpointCatalog& catalog = state->catalog;
-  QARM_RETURN_NOT_OK(ParseCatalogSection(&cursor, &catalog));
+  QARM_RETURN_NOT_OK(ParseCatalogSection(&in, &catalog));
   if (catalog.value_counts.size() != state->num_attributes) {
     return Status::InvalidArgument(StrFormat(
         "checkpoint has %zu value-count vectors for %u attributes",
@@ -127,62 +61,46 @@ Status ParsePayload(const uint8_t* data, size_t size, uint32_t version,
   }
 
   uint32_t num_passes = 0;
-  QARM_RETURN_NOT_OK(cursor.ReadU32(&num_passes));
-  QARM_RETURN_NOT_OK(cursor.NeedCount(num_passes, 4 + 8 + 8));
+  QARM_RETURN_NOT_OK(in.ReadU32(&num_passes));
+  QARM_RETURN_NOT_OK(in.NeedCount(num_passes, 4 + 8 + 8));
   state->passes.resize(num_passes);
   for (CheckpointPass& pass : state->passes) {
-    QARM_RETURN_NOT_OK(cursor.ReadU32(&pass.k));
+    QARM_RETURN_NOT_OK(in.ReadU32(&pass.k));
     if (pass.k == 0) {
       return Status::InvalidArgument("checkpoint pass has k == 0");
     }
-    QARM_RETURN_NOT_OK(cursor.ReadU64(&pass.num_candidates));
+    QARM_RETURN_NOT_OK(in.ReadU64(&pass.num_candidates));
     uint64_t num_frequent = 0;
-    QARM_RETURN_NOT_OK(cursor.ReadU64(&num_frequent));
+    QARM_RETURN_NOT_OK(in.ReadU64(&num_frequent));
     // Each itemset costs k * 4 bytes of ids plus 8 bytes of count.
     QARM_RETURN_NOT_OK(
-        cursor.NeedCount(num_frequent, static_cast<size_t>(pass.k) * 4 + 8));
-    QARM_RETURN_NOT_OK(
-        cursor.ReadI32Array(static_cast<size_t>(num_frequent) * pass.k,
-                            &pass.itemsets));
-    QARM_RETURN_NOT_OK(
-        cursor.ReadU64Array(static_cast<size_t>(num_frequent), &pass.counts));
+        in.NeedCount(num_frequent, static_cast<size_t>(pass.k) * 4 + 8));
+    QARM_RETURN_NOT_OK(in.ReadI32Array(num_frequent * pass.k, &pass.itemsets));
+    QARM_RETURN_NOT_OK(in.ReadU64Array(num_frequent, &pass.counts));
     if (version >= 2) {
       uint64_t num_candidate_counts = 0;
-      QARM_RETURN_NOT_OK(cursor.ReadU64(&num_candidate_counts));
+      QARM_RETURN_NOT_OK(in.ReadU64(&num_candidate_counts));
       if (num_candidate_counts != 0 &&
           num_candidate_counts != pass.num_candidates) {
         return Status::InvalidArgument(
             "checkpoint pass candidate counts do not match the candidate "
             "count");
       }
-      QARM_RETURN_NOT_OK(cursor.NeedCount(num_candidate_counts, 4));
-      pass.candidate_counts.resize(
-          static_cast<size_t>(num_candidate_counts));
-      for (uint32_t& count : pass.candidate_counts) {
-        QARM_RETURN_NOT_OK(cursor.ReadU32(&count));
-      }
+      QARM_RETURN_NOT_OK(
+          in.ReadU32Array(num_candidate_counts, &pass.candidate_counts));
     }
   }
-  if (cursor.remaining() != 0) {
-    return Status::InvalidArgument(
-        StrFormat("checkpoint payload has %zu trailing bytes",
-                  cursor.remaining()));
-  }
-  return Status::OK();
+  return in.ExpectEnd();
 }
 
 }  // namespace
 
 Result<CheckpointCatalog> ParseCheckpointCatalog(const uint8_t* data,
                                                  size_t size) {
-  PayloadCursor cursor(data, size);
+  ByteReader in(data, size, StatusCode::kInvalidArgument, "catalog section");
   CheckpointCatalog catalog;
-  QARM_RETURN_NOT_OK(ParseCatalogSection(&cursor, &catalog));
-  if (cursor.remaining() != 0) {
-    return Status::InvalidArgument(
-        StrFormat("catalog section has %zu trailing bytes",
-                  cursor.remaining()));
-  }
+  QARM_RETURN_NOT_OK(ParseCatalogSection(&in, &catalog));
+  QARM_RETURN_NOT_OK(in.ExpectEnd());
   return catalog;
 }
 
@@ -192,31 +110,28 @@ Result<ShardSnapshot> ParseShardSnapshot(const uint8_t* data, size_t size) {
           0) {
     return Status::InvalidArgument("not a QCP shard snapshot (bad magic)");
   }
-  PayloadCursor cursor(data + sizeof(kShardSnapshotMagic),
-                       size - sizeof(kShardSnapshotMagic));
+  ByteReader in(data + sizeof(kShardSnapshotMagic),
+                size - sizeof(kShardSnapshotMagic),
+                StatusCode::kInvalidArgument, "shard snapshot");
   uint32_t version = 0;
-  QARM_RETURN_NOT_OK(cursor.ReadU32(&version));
+  QARM_RETURN_NOT_OK(in.ReadU32(&version));
   if (version != kShardSnapshotVersion) {
     return Status::InvalidArgument(StrFormat(
         "unsupported shard snapshot version %u (expected %u)", version,
         kShardSnapshotVersion));
   }
   ShardSnapshot snapshot;
-  QARM_RETURN_NOT_OK(cursor.ReadU64(&snapshot.fingerprint));
-  QARM_RETURN_NOT_OK(cursor.ReadU32(&snapshot.worker_id));
-  QARM_RETURN_NOT_OK(cursor.ReadU64(&snapshot.block_begin));
-  QARM_RETURN_NOT_OK(cursor.ReadU64(&snapshot.block_end));
-  QARM_RETURN_NOT_OK(cursor.ReadU64(&snapshot.num_rows));
-  QARM_RETURN_NOT_OK(ParseValueCounts(&cursor, &snapshot.value_counts));
-  QARM_RETURN_NOT_OK(cursor.ReadU64(&snapshot.blocks_read));
-  QARM_RETURN_NOT_OK(cursor.ReadU64(&snapshot.bytes_read));
-  QARM_RETURN_NOT_OK(cursor.ReadU64(&snapshot.read_retries));
-  QARM_RETURN_NOT_OK(cursor.ReadU64(&snapshot.faults_injected));
-  if (cursor.remaining() != 0) {
-    return Status::InvalidArgument(
-        StrFormat("shard snapshot has %zu trailing bytes",
-                  cursor.remaining()));
-  }
+  QARM_RETURN_NOT_OK(in.ReadU64(&snapshot.fingerprint));
+  QARM_RETURN_NOT_OK(in.ReadU32(&snapshot.worker_id));
+  QARM_RETURN_NOT_OK(in.ReadU64(&snapshot.block_begin));
+  QARM_RETURN_NOT_OK(in.ReadU64(&snapshot.block_end));
+  QARM_RETURN_NOT_OK(in.ReadU64(&snapshot.num_rows));
+  QARM_RETURN_NOT_OK(ParseValueCounts(&in, &snapshot.value_counts));
+  QARM_RETURN_NOT_OK(in.ReadU64(&snapshot.blocks_read));
+  QARM_RETURN_NOT_OK(in.ReadU64(&snapshot.bytes_read));
+  QARM_RETURN_NOT_OK(in.ReadU64(&snapshot.read_retries));
+  QARM_RETURN_NOT_OK(in.ReadU64(&snapshot.faults_injected));
+  QARM_RETURN_NOT_OK(in.ExpectEnd());
   return snapshot;
 }
 

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 
 namespace qarm {
@@ -50,6 +51,30 @@ void MmapFile::AdviseSequential() {
   if (data_ != nullptr) {
     ::madvise(const_cast<uint8_t*>(data_), size_, MADV_SEQUENTIAL);
   }
+}
+
+// stdio rather than ofstream: fsync needs the file descriptor.
+Status AtomicWriteFile(const std::string& path, const std::string& bytes) {
+  const std::string tmp_path = path + ".tmp";
+  std::FILE* file = std::fopen(tmp_path.c_str(), "wb");
+  if (file == nullptr) {
+    return Status::IOError("cannot open '" + tmp_path + "' for writing");
+  }
+  bool ok = bytes.empty() ||
+            std::fwrite(bytes.data(), 1, bytes.size(), file) == bytes.size();
+  ok = std::fflush(file) == 0 && ok;
+  ok = ::fsync(::fileno(file)) == 0 && ok;
+  ok = std::fclose(file) == 0 && ok;
+  if (!ok) {
+    std::remove(tmp_path.c_str());
+    return Status::IOError("write to '" + tmp_path + "' failed");
+  }
+  if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
+    std::remove(tmp_path.c_str());
+    return Status::IOError("cannot rename '" + tmp_path + "' to '" + path +
+                           "'");
+  }
+  return Status::OK();
 }
 
 }  // namespace qarm

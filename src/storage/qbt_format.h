@@ -53,6 +53,11 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <type_traits>
+#include <vector>
+
+#include "common/status.h"
+#include "common/string_util.h"
 
 namespace qarm {
 
@@ -116,6 +121,132 @@ inline double QbtReadF64(const uint8_t* p) {
   std::memcpy(&v, &bits, sizeof(v));
   return v;
 }
+
+// --- Bounds-checked reader ---------------------------------------------------
+// The decoding half of the helpers above, shared by every binary decoder:
+// QBT attribute metadata, QRS rule sets, QCP checkpoints and shard
+// snapshots, and the distributed wire messages and handshake. Every read
+// checks the remaining size first, and a declared element count is checked
+// in division form (count <= remaining / element_size, so the product
+// cannot overflow) before the caller allocates. A truncated or hostile
+// payload therefore fails cleanly instead of reading out of bounds or
+// resizing a vector to the moon. Every error carries the decoder's own
+// StatusCode and starts with `noun` (e.g. "rule-set payload"), followed by
+// the byte offset where decoding stopped.
+class ByteReader {
+ public:
+  // `noun` must outlive the reader (callers pass string literals).
+  ByteReader(const uint8_t* data, size_t size, StatusCode code,
+             const char* noun)
+      : data_(data), size_(size), code_(code), noun_(noun) {}
+
+  size_t pos() const { return pos_; }
+  size_t remaining() const { return size_ - pos_; }
+
+  Status ReadByte(uint8_t* out) {
+    const uint8_t* p = nullptr;
+    QARM_RETURN_NOT_OK(Take(1, &p));
+    *out = *p;
+    return Status::OK();
+  }
+  Status ReadU32(uint32_t* out) { return ReadFixed(QbtReadU32, out); }
+  Status ReadI32(int32_t* out) { return ReadFixed(QbtReadI32, out); }
+  // Also fills size_t fields (stats counters): on some hosts size_t and
+  // uint64_t are distinct types.
+  template <typename T>
+  Status ReadU64(T* out) {
+    static_assert(std::is_same_v<T, uint64_t> || std::is_same_v<T, size_t>);
+    uint64_t v = 0;
+    QARM_RETURN_NOT_OK(ReadFixed(QbtReadU64, &v));
+    *out = static_cast<T>(v);
+    return Status::OK();
+  }
+  Status ReadF64(double* out) { return ReadFixed(QbtReadF64, out); }
+
+  Status ReadI32Array(uint64_t count, std::vector<int32_t>* out) {
+    return ReadArray(QbtReadI32, count, out);
+  }
+  Status ReadU32Array(uint64_t count, std::vector<uint32_t>* out) {
+    return ReadArray(QbtReadU32, count, out);
+  }
+  Status ReadU64Array(uint64_t count, std::vector<uint64_t>* out) {
+    return ReadArray(QbtReadU64, count, out);
+  }
+
+  // `n` raw bytes into `out`. The caller reads (and caps) its own length
+  // prefix; the bound is checked before `out` allocates.
+  Status ReadBytes(uint64_t n, std::string* out) {
+    const uint8_t* p = nullptr;
+    QARM_RETURN_NOT_OK(Take(n, &p));
+    out->assign(reinterpret_cast<const char*>(p), static_cast<size_t>(n));
+    return Status::OK();
+  }
+
+  // Points `*out` at the next `n` bytes and consumes them: one bounds check
+  // for a fixed-size record the caller decodes in place.
+  Status Take(uint64_t n, const uint8_t** out) {
+    if (n > remaining()) {
+      return Error(StrFormat("truncated: %llu bytes needed, %zu remain",
+                             static_cast<unsigned long long>(n),
+                             remaining()));
+    }
+    *out = data_ + pos_;
+    pos_ += static_cast<size_t>(n);
+    return Status::OK();
+  }
+
+  // Rejects a declared count of `element_size`-byte elements that the
+  // remaining bytes cannot possibly hold.
+  Status NeedCount(uint64_t count, size_t element_size) const {
+    if (count > remaining() / element_size) {
+      return Error(StrFormat(
+          "declares %llu elements of %zu bytes, but only %zu bytes remain",
+          static_cast<unsigned long long>(count), element_size, remaining()));
+    }
+    return Status::OK();
+  }
+
+  // Trailing bytes mean the payload does not match its own declared
+  // layout — a codec bug or corruption, never something to ignore.
+  Status ExpectEnd() const {
+    if (remaining() != 0) {
+      return Error(StrFormat("has %zu trailing bytes", remaining()));
+    }
+    return Status::OK();
+  }
+
+ private:
+  template <typename T>
+  Status ReadFixed(T (*decode)(const uint8_t*), T* out) {
+    const uint8_t* p = nullptr;
+    QARM_RETURN_NOT_OK(Take(sizeof(T), &p));
+    *out = decode(p);
+    return Status::OK();
+  }
+
+  template <typename T>
+  Status ReadArray(T (*decode)(const uint8_t*), uint64_t count,
+                   std::vector<T>* out) {
+    QARM_RETURN_NOT_OK(NeedCount(count, sizeof(T)));
+    out->resize(static_cast<size_t>(count));
+    for (T& v : *out) {
+      v = decode(data_ + pos_);
+      pos_ += sizeof(T);
+    }
+    return Status::OK();
+  }
+
+  Status Error(const std::string& what) const {
+    return Status(code_, StrFormat("%s %s (at byte %zu)", noun_, what.c_str(),
+                                   pos_));
+  }
+
+  const uint8_t* data_;
+  size_t size_;
+  size_t pos_ = 0;
+  StatusCode code_;
+  const char* noun_;
+};
 
 }  // namespace qarm
 

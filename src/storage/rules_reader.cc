@@ -17,79 +17,20 @@
 namespace qarm {
 namespace {
 
-// Bounded cursor over the payload; every Read* call checks the remaining
-// byte budget first, so a hostile or truncated rule set can neither read
-// out of bounds nor trigger an oversized allocation.
-class PayloadCursor {
- public:
-  PayloadCursor(const uint8_t* data, size_t size) : data_(data), size_(size) {}
-
-  size_t remaining() const { return size_ - pos_; }
-  const uint8_t* here() const { return data_ + pos_; }
-  void Skip(size_t bytes) { pos_ += bytes; }
-
-  Status ReadByte(uint8_t* out) {
-    QARM_RETURN_NOT_OK(Need(1));
-    *out = data_[pos_++];
-    return Status::OK();
-  }
-  Status ReadU32(uint32_t* out) {
-    QARM_RETURN_NOT_OK(Need(4));
-    *out = QbtReadU32(data_ + pos_);
-    pos_ += 4;
-    return Status::OK();
-  }
-  Status ReadU64(uint64_t* out) {
-    QARM_RETURN_NOT_OK(Need(8));
-    *out = QbtReadU64(data_ + pos_);
-    pos_ += 8;
-    return Status::OK();
-  }
-  Status ReadF64(double* out) {
-    QARM_RETURN_NOT_OK(Need(8));
-    *out = QbtReadF64(data_ + pos_);
-    pos_ += 8;
-    return Status::OK();
-  }
-  // Count declared for elements of `element_size` bytes each; rejects
-  // counts the remaining payload cannot possibly hold (division form, so
-  // the product cannot overflow).
-  Status NeedCount(uint64_t count, size_t element_size) const {
-    if (count > remaining() / element_size) {
-      return Status::InvalidArgument(StrFormat(
-          "rule set declares %llu elements but only %zu bytes remain",
-          static_cast<unsigned long long>(count), remaining()));
-    }
-    return Status::OK();
-  }
-  Status Need(size_t bytes) const {
-    if (remaining() < bytes) {
-      return Status::InvalidArgument("rule-set payload truncated");
-    }
-    return Status::OK();
-  }
-
- private:
-  const uint8_t* data_;
-  size_t size_;
-  size_t pos_ = 0;
-};
-
 // Reads one side of a rule and checks it is a well-formed itemset: sorted
 // strictly by attribute (so at most one item per attribute) with every
 // endpoint inside the attribute's mapped domain.
-Status ReadSide(PayloadCursor* cursor, size_t rule_index, const char* side,
+Status ReadSide(ByteReader* in, size_t rule_index, const char* side,
                 size_t num_items, const std::vector<MappedAttribute>& attrs,
                 std::vector<StoredItem>* out) {
   out->resize(num_items);
   int32_t prev_attr = -1;
   for (StoredItem& item : *out) {
-    const uint8_t* p = cursor->here();
-    QARM_RETURN_NOT_OK(cursor->Need(kQrsItemBytes));
+    const uint8_t* p = nullptr;
+    QARM_RETURN_NOT_OK(in->Take(kQrsItemBytes, &p));
     item.attr = QbtReadI32(p);
     item.lo = QbtReadI32(p + 4);
     item.hi = QbtReadI32(p + 8);
-    cursor->Skip(kQrsItemBytes);
     if (item.attr < 0 ||
         static_cast<size_t>(item.attr) >= attrs.size()) {
       return Status::InvalidArgument(
@@ -126,10 +67,10 @@ Status CheckMeasure(size_t rule_index, const char* name, double v, double lo,
 
 Status ParsePayload(const uint8_t* data, size_t size, uint32_t num_attrs,
                     uint64_t num_records, StoredRuleSet* set) {
-  PayloadCursor cursor(data, size);
-  QARM_RETURN_NOT_OK(cursor.ReadF64(&set->minsup));
-  QARM_RETURN_NOT_OK(cursor.ReadF64(&set->minconf));
-  QARM_RETURN_NOT_OK(cursor.ReadF64(&set->interest_level));
+  ByteReader in(data, size, StatusCode::kInvalidArgument, "rule-set payload");
+  QARM_RETURN_NOT_OK(in.ReadF64(&set->minsup));
+  QARM_RETURN_NOT_OK(in.ReadF64(&set->minconf));
+  QARM_RETURN_NOT_OK(in.ReadF64(&set->interest_level));
   if (!std::isfinite(set->minsup) || !std::isfinite(set->minconf) ||
       !std::isfinite(set->interest_level)) {
     return Status::InvalidArgument(
@@ -137,24 +78,21 @@ Status ParsePayload(const uint8_t* data, size_t size, uint32_t num_attrs,
   }
 
   uint64_t metadata_size = 0;
-  QARM_RETURN_NOT_OK(cursor.ReadU64(&metadata_size));
-  if (metadata_size > cursor.remaining()) {
-    return Status::InvalidArgument("metadata section exceeds the payload");
-  }
+  const uint8_t* metadata = nullptr;
+  QARM_RETURN_NOT_OK(in.ReadU64(&metadata_size));
+  QARM_RETURN_NOT_OK(in.Take(metadata_size, &metadata));
   size_t consumed = 0;
   QARM_ASSIGN_OR_RETURN(
       set->attributes,
-      DecodeAttributeMetadata(cursor.here(),
-                              static_cast<size_t>(metadata_size), num_attrs,
-                              &consumed));
+      DecodeAttributeMetadata(metadata, static_cast<size_t>(metadata_size),
+                              num_attrs, &consumed));
   if (consumed != metadata_size) {
     return Status::InvalidArgument("metadata section has trailing bytes");
   }
-  cursor.Skip(consumed);
 
   uint64_t num_rules = 0;
-  QARM_RETURN_NOT_OK(cursor.ReadU64(&num_rules));
-  QARM_RETURN_NOT_OK(cursor.NeedCount(num_rules, kQrsMinRuleBytes));
+  QARM_RETURN_NOT_OK(in.ReadU64(&num_rules));
+  QARM_RETURN_NOT_OK(in.NeedCount(num_rules, kQrsMinRuleBytes));
   // Rule ids are packed into 31 bits by the serving indexes; a file
   // anywhere near that limit is hostile (the division-form bound above
   // already caps real files far lower).
@@ -167,20 +105,20 @@ Status ParsePayload(const uint8_t* data, size_t size, uint32_t num_attrs,
   for (size_t i = 0; i < set->rules.size(); ++i) {
     StoredRule& rule = set->rules[i];
     uint8_t num_ante = 0, num_cons = 0, interesting = 0, reserved = 0;
-    QARM_RETURN_NOT_OK(cursor.ReadByte(&num_ante));
-    QARM_RETURN_NOT_OK(cursor.ReadByte(&num_cons));
-    QARM_RETURN_NOT_OK(cursor.ReadByte(&interesting));
-    QARM_RETURN_NOT_OK(cursor.ReadByte(&reserved));
+    QARM_RETURN_NOT_OK(in.ReadByte(&num_ante));
+    QARM_RETURN_NOT_OK(in.ReadByte(&num_cons));
+    QARM_RETURN_NOT_OK(in.ReadByte(&interesting));
+    QARM_RETURN_NOT_OK(in.ReadByte(&reserved));
     if (num_ante == 0 || num_cons == 0) {
       return Status::InvalidArgument(
           StrFormat("rule %zu has an empty side", i));
     }
     rule.interesting = interesting != 0;
-    QARM_RETURN_NOT_OK(cursor.NeedCount(
-        static_cast<uint64_t>(num_ante) + num_cons, kQrsItemBytes));
-    QARM_RETURN_NOT_OK(ReadSide(&cursor, i, "antecedent", num_ante,
+    QARM_RETURN_NOT_OK(
+        in.NeedCount(uint64_t{num_ante} + num_cons, kQrsItemBytes));
+    QARM_RETURN_NOT_OK(ReadSide(&in, i, "antecedent", num_ante,
                                 set->attributes, &rule.antecedent));
-    QARM_RETURN_NOT_OK(ReadSide(&cursor, i, "consequent", num_cons,
+    QARM_RETURN_NOT_OK(ReadSide(&in, i, "consequent", num_cons,
                                 set->attributes, &rule.consequent));
     // The sides must not share an attribute (a record-model itemset holds
     // at most one item per attribute). Both sides are sorted, so a merge
@@ -195,27 +133,23 @@ Status ParsePayload(const uint8_t* data, size_t size, uint32_t num_attrs,
       }
       ante_attr < cons_attr ? ++a : ++c;
     }
-    QARM_RETURN_NOT_OK(cursor.ReadU64(&rule.count));
+    QARM_RETURN_NOT_OK(in.ReadU64(&rule.count));
     if (rule.count > num_records) {
       return Status::InvalidArgument(StrFormat(
           "rule %zu counts %llu of %llu records", i,
           static_cast<unsigned long long>(rule.count),
           static_cast<unsigned long long>(num_records)));
     }
-    QARM_RETURN_NOT_OK(cursor.ReadF64(&rule.support));
-    QARM_RETURN_NOT_OK(cursor.ReadF64(&rule.confidence));
-    QARM_RETURN_NOT_OK(cursor.ReadF64(&rule.lift));
+    QARM_RETURN_NOT_OK(in.ReadF64(&rule.support));
+    QARM_RETURN_NOT_OK(in.ReadF64(&rule.confidence));
+    QARM_RETURN_NOT_OK(in.ReadF64(&rule.lift));
     QARM_RETURN_NOT_OK(CheckMeasure(i, "support", rule.support, 0.0, 1.0));
     QARM_RETURN_NOT_OK(
         CheckMeasure(i, "confidence", rule.confidence, 0.0, 1.0));
     QARM_RETURN_NOT_OK(CheckMeasure(i, "lift", rule.lift, 0.0,
                                     std::numeric_limits<double>::max()));
   }
-  if (cursor.remaining() != 0) {
-    return Status::InvalidArgument(StrFormat(
-        "rule-set payload has %zu trailing bytes", cursor.remaining()));
-  }
-  return Status::OK();
+  return in.ExpectEnd();
 }
 
 }  // namespace

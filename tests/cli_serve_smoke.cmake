@@ -2,7 +2,9 @@
 # --output-rules, inspect the QRS file with `qarm rules dump`, start
 # `qarm serve` on a random (ephemeral) port, query /match /topk /rules
 # /statz over real HTTP via the qarm_http_get helper, then stop the
-# server with SIGTERM and require a clean shutdown line in its log.
+# server with SIGTERM and require a clean shutdown line in its log. A
+# second server is signalled the instant its port file appears and must
+# still exit 0 with the clean shutdown line.
 set(SCHEMA "monthly_income:quant,credit_limit:quant,current_balance:quant,ytd_balance:quant,ytd_interest:quant:double,employee_category:cat,marital_status:cat")
 set(DATA ${WORK_DIR}/serve_fin.csv)
 set(RULES ${WORK_DIR}/serve_fin.qrs)
@@ -140,4 +142,55 @@ endif()
 file(READ ${LOG_FILE} serve_log)
 if(NOT serve_log MATCHES "shut down cleanly")
   message(FATAL_ERROR "server log missing clean-shutdown line:\n${serve_log}")
+endif()
+
+# Signal race: SIGTERM the instant --port-file appears. The handlers are
+# installed before the file is published, so even this earliest signal
+# must end in exit 0 and the clean-shutdown line, never the default action.
+set(RACE_PORT ${WORK_DIR}/serve_race_port.txt)
+set(RACE_PID ${WORK_DIR}/serve_race_pid.txt)
+set(RACE_RC ${WORK_DIR}/serve_race_rc.txt)
+set(RACE_LOG ${WORK_DIR}/serve_race.log)
+file(REMOVE ${RACE_PORT} ${RACE_PID} ${RACE_RC} ${RACE_LOG})
+execute_process(
+  COMMAND sh -c "( '${QARM}' serve --rules='${RULES}' --port=0 \
+--port-file='${RACE_PORT}' --serve-seconds=60 > '${RACE_LOG}' 2>&1 & \
+echo $! > '${RACE_PID}'; wait $!; echo $? > '${RACE_RC}' ) \
+> /dev/null 2>&1 &"
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "failed to launch the racing qarm serve (rc ${rc})")
+endif()
+# Spin (no sleep) until both files exist, then signal at once.
+execute_process(
+  COMMAND sh -c "i=0; while [ ! -s '${RACE_PORT}' ] || \
+[ ! -s '${RACE_PID}' ]; do i=$((i+1)); \
+if [ $i -gt 5000000 ]; then exit 1; fi; done; \
+kill -TERM $(cat '${RACE_PID}')"
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "racing server never published its port file")
+endif()
+set(race_rc "")
+foreach(i RANGE 100)
+  if(EXISTS ${RACE_RC})
+    file(READ ${RACE_RC} race_rc)
+    string(STRIP "${race_rc}" race_rc)
+    if(NOT race_rc STREQUAL "")
+      break()
+    endif()
+  endif()
+  execute_process(COMMAND ${CMAKE_COMMAND} -E sleep 0.1)
+endforeach()
+file(READ ${RACE_LOG} race_log)
+if(NOT race_rc STREQUAL "0")
+  execute_process(COMMAND sh -c "kill -KILL $(cat '${RACE_PID}') 2>/dev/null")
+  message(FATAL_ERROR
+    "server signalled as its port file appeared exited '${race_rc}', not 0; "
+    "log:\n${race_log}")
+endif()
+if(NOT race_log MATCHES "shut down cleanly")
+  message(FATAL_ERROR
+    "server signalled as its port file appeared logged no clean shutdown:\n"
+    "${race_log}")
 endif()

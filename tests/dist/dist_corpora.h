@@ -19,6 +19,8 @@
 #include "common/random.h"
 #include "core/miner.h"
 #include "core/report.h"
+#include "dist/framing.h"
+#include "dist/handshake.h"
 #include "partition/mapper.h"
 #include "partition/taxonomy.h"
 #include "storage/qbt_writer.h"
@@ -36,6 +38,45 @@ inline std::vector<std::string> RulesAsJson(const MiningResult& result) {
     out.push_back(RuleToJson(rule, result.mapped));
   }
   return out;
+}
+
+// Wire size of the handshake frames every worker session opens with (both
+// modes), given the run's fault spec. They land in the per-worker byte
+// totals but in no pass, so per-worker totals exceed the pass sums by
+// exactly one Hello (sent) and one HelloAck (received) per incarnation.
+inline uint64_t HelloFrameBytes(const std::string& inject_faults_spec) {
+  DistHello hello;
+  hello.inject_faults_spec = inject_faults_spec;
+  std::string payload;
+  EncodeHello(hello, &payload);
+  return kDistFrameHeaderSize + payload.size() + 4;
+}
+
+inline uint64_t HelloAckFrameBytes() {
+  std::string payload;
+  EncodeHelloAck(DistHelloAck(), &payload);
+  return kDistFrameHeaderSize + payload.size() + 4;
+}
+
+// Sums of a run's per-pass and per-worker exchange bytes.
+struct ExchangeBytes {
+  uint64_t pass_sent = 0;
+  uint64_t pass_received = 0;
+  uint64_t worker_sent = 0;
+  uint64_t worker_received = 0;
+};
+
+inline ExchangeBytes SumExchangeBytes(const DistRunStats& dist) {
+  ExchangeBytes sums;
+  for (const DistPassStats& pass : dist.passes) {
+    sums.pass_sent += pass.bytes_sent;
+    sums.pass_received += pass.bytes_received;
+  }
+  for (const DistWorkerStats& worker : dist.workers) {
+    sums.worker_sent += worker.bytes_sent;
+    sums.worker_received += worker.bytes_received;
+  }
+  return sums;
 }
 
 // A mined corpus on disk plus the options that partitioned it.

@@ -5,6 +5,7 @@
 // divergence in the shard/merge path fails here as a rule diff, not a
 // statistical anomaly. (The TCP transport runs the same matrix in
 // tcp_miner_test.cc; the corpora live in dist_corpora.h.)
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,16 +15,21 @@
 #include "common/macros.h"
 #include "core/miner.h"
 #include "dist/dist_miner.h"
+#include "dist/worker_server.h"
 #include "dist/dist_corpora.h"
 
 namespace qarm {
 namespace {
 
 using disttest::DistCorpus;
+using disttest::ExchangeBytes;
 using disttest::FinancialCorpus;
+using disttest::HelloAckFrameBytes;
+using disttest::HelloFrameBytes;
 using disttest::MissingValuesCorpus;
 using disttest::MustMineStreamed;
 using disttest::RulesAsJson;
+using disttest::SumExchangeBytes;
 using disttest::TaxonomyCorpus;
 
 MiningResult MustMineDistributed(const DistCorpus& corpus, size_t workers,
@@ -99,7 +105,8 @@ TEST(DistMinerTest, WorkerCountClampsToBlockCount) {
 
 // The pass-2 exchange ships the implicit-C2 flag, not materialized pairs:
 // the request for k=2 must be orders of magnitude smaller than the counts
-// coming back.
+// coming back. The same run then pins the handshake's byte accounting
+// against a TCP run over the same shards.
 TEST(DistMinerTest, ImplicitPairRequestsStaySmall) {
   const MiningResult got =
       MustMineDistributed(FinancialCorpus(), /*workers=*/2, /*threads=*/1);
@@ -110,6 +117,55 @@ TEST(DistMinerTest, ImplicitPairRequestsStaySmall) {
   ASSERT_NE(pass2, nullptr);
   EXPECT_LT(pass2->bytes_sent, 1024u);
   EXPECT_GT(pass2->bytes_received, pass2->bytes_sent * 10);
+
+  // Forked workers open with the same Hello/HelloAck handshake as TCP
+  // sessions: each worker's total carries its handshake on top of its
+  // share of the passes (every request is broadcast, so the shares of the
+  // sent bytes are equal).
+  const size_t workers = got.stats.dist.workers.size();
+  ASSERT_EQ(workers, 2u);
+  const ExchangeBytes fork = SumExchangeBytes(got.stats.dist);
+  const uint64_t hello =
+      HelloFrameBytes(FinancialCorpus().options.inject_faults_spec);
+  for (const DistWorkerStats& worker : got.stats.dist.workers) {
+    EXPECT_EQ(worker.bytes_sent, fork.pass_sent / workers + hello)
+        << "worker " << worker.worker_id;
+  }
+  EXPECT_EQ(fork.worker_received - fork.pass_received,
+            workers * HelloAckFrameBytes());
+
+  // The same shards over TCP move the same bytes, pass by pass and per
+  // worker: the handshake is the one bootstrap, whatever the transport.
+  // Heartbeats are off so a slow host cannot add liveness frames.
+  std::vector<std::unique_ptr<WorkerServer>> servers;
+  MinerOptions options = FinancialCorpus().options;
+  options.dist_heartbeat_ms = 0;
+  for (size_t i = 0; i < workers; ++i) {
+    WorkerServerOptions server_options;
+    server_options.qbt_path = FinancialCorpus().qbt_path;
+    auto server = WorkerServer::Start(server_options);
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+    options.worker_endpoints.push_back(
+        "127.0.0.1:" + std::to_string((*server)->port()));
+    servers.push_back(std::move(server).value());
+  }
+  auto tcp = MineDistributedQbt(FinancialCorpus().qbt_path, options);
+  ASSERT_TRUE(tcp.ok()) << tcp.status().ToString();
+  ASSERT_EQ(tcp->stats.dist.passes.size(), got.stats.dist.passes.size());
+  for (size_t p = 0; p < got.stats.dist.passes.size(); ++p) {
+    const DistPassStats& f = got.stats.dist.passes[p];
+    const DistPassStats& t = tcp->stats.dist.passes[p];
+    EXPECT_EQ(t.k, f.k);
+    EXPECT_EQ(t.bytes_sent, f.bytes_sent) << "pass k=" << f.k;
+    EXPECT_EQ(t.bytes_received, f.bytes_received) << "pass k=" << f.k;
+  }
+  ASSERT_EQ(tcp->stats.dist.workers.size(), workers);
+  for (size_t w = 0; w < workers; ++w) {
+    EXPECT_EQ(tcp->stats.dist.workers[w].bytes_sent,
+              got.stats.dist.workers[w].bytes_sent);
+    EXPECT_EQ(tcp->stats.dist.workers[w].bytes_received,
+              got.stats.dist.workers[w].bytes_received);
+  }
 }
 
 }  // namespace

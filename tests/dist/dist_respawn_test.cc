@@ -17,7 +17,7 @@
 #include "common/macros.h"
 #include "common/string_util.h"
 #include "core/miner.h"
-#include "core/report.h"
+#include "dist/dist_corpora.h"
 #include "dist/dist_miner.h"
 #include "partition/mapper.h"
 #include "storage/qbt_writer.h"
@@ -29,14 +29,7 @@ namespace {
 
 constexpr size_t kWorkers = 3;
 
-std::vector<std::string> RulesAsJson(const MiningResult& result) {
-  std::vector<std::string> out;
-  out.reserve(result.rules.size());
-  for (const QuantRule& rule : result.rules) {
-    out.push_back(RuleToJson(rule, result.mapped));
-  }
-  return out;
-}
+using disttest::RulesAsJson;
 
 // Financial corpus in small blocks so each of the 3 workers owns several.
 struct RespawnCorpus {
@@ -96,6 +89,23 @@ TEST(DistRespawnTest, KillEveryWorkerDuringPass1) {
   EXPECT_EQ(RulesAsJson(*result), FaultFreeBaseline());
   EXPECT_EQ(result->stats.dist.num_workers, kWorkers);
   EXPECT_EQ(result->stats.dist.workers_respawned, kWorkers);
+
+  // Each respawned child re-handshakes: one more Hello/HelloAck per
+  // incarnation, outside every pass. The child learns its generation only
+  // from the Hello (the coordinator rejects an ack that does not echo
+  // generation + 1), and surviving fails=1 proves it armed the kill fault
+  // at generation 1, not 0.
+  const disttest::ExchangeBytes bytes =
+      disttest::SumExchangeBytes(result->stats.dist);
+  const uint64_t incarnations = 2 * kWorkers;
+  EXPECT_EQ(
+      bytes.worker_sent - bytes.pass_sent,
+      incarnations * disttest::HelloFrameBytes(options.inject_faults_spec));
+  EXPECT_EQ(bytes.worker_received - bytes.pass_received,
+            incarnations * disttest::HelloAckFrameBytes());
+  for (const DistWorkerStats& worker : result->stats.dist.workers) {
+    EXPECT_EQ(worker.respawns, 1u) << "worker " << worker.worker_id;
+  }
 }
 
 // `after` delays the kill past every worker's pass-1 scan (the injector's

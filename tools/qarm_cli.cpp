@@ -49,6 +49,7 @@
 #include "serve/http_server.h"
 #include "serve/rule_catalog.h"
 #include "serve/rule_service.h"
+#include "storage/mmap_file.h"
 #include "storage/qbt_writer.h"
 #include "storage/record_source.h"
 #include "storage/rules_format.h"
@@ -208,21 +209,34 @@ int RunGen(const CliFlags& flags) {
   return 0;
 }
 
-// Writes the bound port to `path` atomically (temp + rename), so a smoke
-// script polling for the file never reads a half-written value.
-Status WritePortFile(const std::string& path, uint16_t port) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (f == nullptr) {
-    return Status::IOError("cannot write " + tmp);
+// The shared tail of `qarm worker` and `qarm serve`. The SIGINT/SIGTERM
+// handlers go in *before* --port-file is published: a script that signals
+// the moment the file appears must reach the clean shutdown, not the
+// default action. The file is written atomically, so a poller never reads
+// a half-written port. Then waits for a signal (or --serve-seconds), stops
+// the server and prints `summary(uptime_seconds)`.
+template <typename Server, typename Summary>
+int ServeUntilInterrupted(const CliFlags& flags, Server& server,
+                          Summary summary) {
+  std::signal(SIGINT, HandleSigint);
+  std::signal(SIGTERM, HandleSigint);
+  Timer uptime;
+  if (!flags.port_file.empty()) {
+    const Status status =
+        AtomicWriteFile(flags.port_file, StrFormat("%u\n", server.port()));
+    if (!status.ok()) {
+      std::fprintf(stderr, "%s\n", status.ToString().c_str());
+      return 1;
+    }
   }
-  std::fprintf(f, "%u\n", port);
-  std::fclose(f);
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IOError("cannot rename " + tmp + " to " + path);
+  while (!g_interrupted.load() &&
+         !(flags.serve_seconds > 0 &&
+           uptime.ElapsedSeconds() >= flags.serve_seconds)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
-  return Status::OK();
+  server.Stop();
+  summary(uptime.ElapsedSeconds());
+  return 0;
 }
 
 // One rule as display text: "Age[20..29] AND Married=Yes => NumCars[0..2]
@@ -349,30 +363,12 @@ int RunWorker(const CliFlags& flags) {
   std::fprintf(stderr, "# worker serving %s on %s:%u\n",
                flags.input_qbt.c_str(), endpoint->host.c_str(),
                (*server)->port());
-  if (!flags.port_file.empty()) {
-    Status status = WritePortFile(flags.port_file, (*server)->port());
-    if (!status.ok()) {
-      std::fprintf(stderr, "%s\n", status.ToString().c_str());
-      return 1;
-    }
-  }
-
-  std::signal(SIGINT, HandleSigint);
-  std::signal(SIGTERM, HandleSigint);
-  Timer uptime;
-  while (!g_interrupted.load()) {
-    if (flags.serve_seconds > 0 &&
-        uptime.ElapsedSeconds() >= flags.serve_seconds) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  (*server)->Stop();
-  std::fprintf(stderr,
-               "# worker served %llu sessions in %.1fs; shut down cleanly\n",
-               static_cast<unsigned long long>((*server)->sessions_served()),
-               uptime.ElapsedSeconds());
-  return 0;
+  return ServeUntilInterrupted(flags, **server, [&](double uptime) {
+    std::fprintf(
+        stderr, "# worker served %llu sessions in %.1fs; shut down cleanly\n",
+        static_cast<unsigned long long>((*server)->sessions_served()),
+        uptime);
+  });
 }
 
 // `qarm serve`: load a QRS file and serve it over HTTP until SIGINT (or
@@ -424,31 +420,12 @@ int RunServe(const CliFlags& flags) {
                "MiB)\n",
                flags.host.c_str(), (*server)->port(),
                server_options.num_threads, flags.cache_mb);
-  if (!flags.port_file.empty()) {
-    Status status = WritePortFile(flags.port_file, (*server)->port());
-    if (!status.ok()) {
-      std::fprintf(stderr, "%s\n", status.ToString().c_str());
-      return 1;
-    }
-  }
-
-  std::signal(SIGINT, HandleSigint);
-  std::signal(SIGTERM, HandleSigint);
-  Timer uptime;
-  while (!g_interrupted.load()) {
-    if (flags.serve_seconds > 0 &&
-        uptime.ElapsedSeconds() >= flags.serve_seconds) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  (*server)->Stop();
-  std::fprintf(stderr, "# served %llu connections in %.1fs; shut down "
-               "cleanly\n",
-               static_cast<unsigned long long>(
-                   (*server)->connections_accepted()),
-               uptime.ElapsedSeconds());
-  return 0;
+  return ServeUntilInterrupted(flags, **server, [&](double uptime) {
+    std::fprintf(
+        stderr, "# served %llu connections in %.1fs; shut down cleanly\n",
+        static_cast<unsigned long long>((*server)->connections_accepted()),
+        uptime);
+  });
 }
 
 int Run(int argc, char** argv) {
