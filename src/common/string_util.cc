@@ -1,10 +1,13 @@
 #include "common/string_util.h"
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+
+#include "common/macros.h"
 
 namespace qarm {
 
@@ -48,16 +51,22 @@ std::string_view StripWhitespace(std::string_view s) {
   return s.substr(begin, end - begin);
 }
 
-std::string FormatDouble(double value, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", precision, value);
-  std::string s(buf);
-  if (s.find('.') != std::string::npos) {
-    size_t last = s.find_last_not_of('0');
-    if (s[last] == '.') --last;
-    s.erase(last + 1);
+char* FormatFixed(char* out, double value, int precision, bool trim_zeros) {
+  QARM_CHECK(precision >= 0 && precision <= kMaxFixedPrecision);
+  char* end = std::to_chars(out, out + kMaxFixedChars, value,
+                            std::chars_format::fixed, precision)
+                  .ptr;
+  // Only a finite value with decimals has a point to trim back to.
+  if (trim_zeros && precision > 0 && std::isfinite(value)) {
+    while (end[-1] == '0') --end;
+    if (end[-1] == '.') --end;
   }
-  return s;
+  return end;
+}
+
+std::string FormatDouble(double value, int precision) {
+  char buf[kMaxFixedChars];
+  return std::string(buf, FormatFixed(buf, value, precision, true));
 }
 
 Result<double> ParseDouble(std::string_view text) {

@@ -2,6 +2,7 @@
 #ifndef QARM_COMMON_STRING_UTIL_H_
 #define QARM_COMMON_STRING_UTIL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -20,8 +21,20 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 // Removes leading and trailing ASCII whitespace.
 std::string_view StripWhitespace(std::string_view s);
 
-// Formats a double with up to `precision` significant decimals, trimming
-// trailing zeros ("2.50" -> "2.5", "3.00" -> "3").
+// Longest FormatFixed output: a sign, the 309 integer digits of DBL_MAX,
+// the point and kMaxFixedPrecision decimals.
+inline constexpr int kMaxFixedPrecision = 17;
+inline constexpr size_t kMaxFixedChars = 1 + 309 + 1 + kMaxFixedPrecision;
+
+// Writes `value` exactly as std::printf("%.*f", precision, value) does
+// (std::to_chars, no locale, no format parsing) into `out`, which must have
+// room for kMaxFixedChars; returns the end. With `trim_zeros`, trailing
+// fractional zeros and then a bare point are dropped ("2.50" -> "2.5",
+// "3.00" -> "3"). 0 <= precision <= kMaxFixedPrecision.
+char* FormatFixed(char* out, double value, int precision, bool trim_zeros);
+
+// Formats a double with up to `precision` decimals, trimming trailing
+// zeros ("2.50" -> "2.5", "3.00" -> "3").
 std::string FormatDouble(double value, int precision = 6);
 
 // printf-style formatting into a std::string.

@@ -1,6 +1,6 @@
 #include "core/item.h"
 
-#include "common/string_util.h"
+#include "storage/rule_text.h"
 
 namespace qarm {
 
@@ -58,20 +58,16 @@ bool BoxDifference(const RangeItemset& x, const RangeItemset& x_prime,
 }
 
 std::string ItemToString(const RangeItem& item, const MappedTable& table) {
-  const MappedAttribute& attr =
-      table.attribute(static_cast<size_t>(item.attr));
-  return StrFormat("<%s: %s>", attr.name.c_str(),
-                   attr.DecodeRange(item.lo, item.hi).c_str());
+  return ItemsetToString({item}, table);
 }
 
 std::string ItemsetToString(const RangeItemset& itemset,
                             const MappedTable& table) {
-  std::vector<std::string> parts;
-  parts.reserve(itemset.size());
-  for (const RangeItem& item : itemset) {
-    parts.push_back(ItemToString(item, table));
-  }
-  return Join(parts, " and ");
+  ItemTextTable items(table.attributes());
+  items.AddItems(itemset);
+  RuleSink sink;
+  sink.AppendTextSide(itemset, items);
+  return sink.TakeString();
 }
 
 bool RecordSupports(const int32_t* record, const RangeItemset& itemset) {

@@ -5,95 +5,44 @@
 
 namespace qarm {
 
-std::string JsonEscape(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
 namespace {
 
-std::string ItemToJson(const RangeItem& item, const MappedTable& mapped) {
-  const MappedAttribute& attr =
-      mapped.attribute(static_cast<size_t>(item.attr));
-  std::string out = "{";
-  out += "\"attribute\":" + JsonEscape(attr.name);
-  out += ",\"kind\":";
-  out += attr.kind == AttributeKind::kQuantitative ? "\"quantitative\""
-                                                   : "\"categorical\"";
-  if (attr.kind == AttributeKind::kQuantitative) {
-    Interval raw = attr.RawInterval(item.lo, item.hi);
-    out += ",\"lo\":" + FormatDouble(raw.lo);
-    out += ",\"hi\":" + FormatDouble(raw.hi);
-  } else {
-    out += ",\"value\":" + JsonEscape(attr.DecodeRange(item.lo, item.hi));
+// The items of the rules a Write* call prints, each rendered once.
+ItemTextTable ItemsOf(const std::vector<QuantRule>& rules,
+                      const MappedTable& mapped, bool interesting_only) {
+  ItemTextTable items(mapped.attributes());
+  for (const QuantRule& rule : rules) {
+    if (interesting_only && !rule.interesting) continue;
+    items.AddRule(rule);
   }
-  out += ",\"display\":" + JsonEscape(attr.DecodeRange(item.lo, item.hi));
-  out += "}";
-  return out;
+  return items;
 }
 
-std::string SideToJson(const RangeItemset& side, const MappedTable& mapped) {
-  std::string out = "[";
-  for (size_t i = 0; i < side.size(); ++i) {
-    if (i > 0) out += ',';
-    out += ItemToJson(side[i], mapped);
-  }
-  out += "]";
-  return out;
-}
-
-// CSV field quoting: wrap in double quotes when the field contains a comma
-// or a quote; embedded quotes are doubled.
-std::string CsvField(const std::string& s) {
-  if (s.find_first_of(",\"\n") == std::string::npos) return s;
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
+void AppendRuleJson(const QuantRule& rule, const ItemTextTable& items,
+                    RuleSink* sink) {
+  sink->Append("{\"antecedent\":");
+  sink->AppendJsonSide(rule.antecedent, items);
+  sink->Append(",\"consequent\":");
+  sink->AppendJsonSide(rule.consequent, items);
+  sink->Append(",\"support\":");
+  sink->AppendFixed(rule.support, 6);
+  sink->Append(",\"confidence\":");
+  sink->AppendFixed(rule.confidence, 6);
+  sink->Append(",\"count\":");
+  sink->AppendUint(rule.count);
+  sink->Append(",\"interesting\":");
+  sink->AppendBool(rule.interesting);
+  sink->Append('}');
 }
 
 }  // namespace
 
 std::string RuleToJson(const QuantRule& rule, const MappedTable& mapped) {
-  std::string out = "{";
-  out += "\"antecedent\":" + SideToJson(rule.antecedent, mapped);
-  out += ",\"consequent\":" + SideToJson(rule.consequent, mapped);
-  out += StrFormat(",\"support\":%.6f,\"confidence\":%.6f,\"count\":%llu",
-                   rule.support, rule.confidence,
-                   static_cast<unsigned long long>(rule.count));
-  out += ",\"interesting\":";
-  out += rule.interesting ? "true" : "false";
-  out += "}";
-  return out;
+  ItemTextTable items(mapped.attributes());
+  items.AddRule(rule);
+  RuleSink sink;
+  AppendRuleJson(rule, items, &sink);
+  return sink.TakeString();
 }
 
 std::string StatsToJson(const MiningStats& stats) {
@@ -223,32 +172,89 @@ std::string StatsToJson(const MiningStats& stats) {
 
 std::string MiningResultToJson(const MiningResult& result,
                                bool interesting_only) {
-  std::string out = "{";
-  out += "\"stats\":" + StatsToJson(result.stats);
-  out += ",\"rules\":[";
-  bool first = true;
-  for (const QuantRule& rule : result.rules) {
-    if (interesting_only && !rule.interesting) continue;
-    if (!first) out += ',';
-    first = false;
-    out += RuleToJson(rule, result.mapped);
-  }
-  out += "]}";
-  return out;
+  RuleSink sink;
+  WriteMiningResultJson(result, interesting_only, &sink);
+  return sink.TakeString();
 }
 
 std::string RulesToCsv(const std::vector<QuantRule>& rules,
                        const MappedTable& mapped) {
-  std::string out = "antecedent,consequent,support,confidence,count,interesting\n";
-  for (const QuantRule& rule : rules) {
-    out += CsvField(ItemsetToString(rule.antecedent, mapped));
-    out += ',';
-    out += CsvField(ItemsetToString(rule.consequent, mapped));
-    out += StrFormat(",%.6f,%.6f,%llu,%s\n", rule.support, rule.confidence,
-                     static_cast<unsigned long long>(rule.count),
-                     rule.interesting ? "true" : "false");
+  RuleSink sink;
+  WriteRulesCsv(rules, mapped, /*interesting_only=*/false, &sink);
+  return sink.TakeString();
+}
+
+size_t WriteMiningResultJson(const MiningResult& result, bool interesting_only,
+                             RuleSink* sink) {
+  const ItemTextTable items =
+      ItemsOf(result.rules, result.mapped, interesting_only);
+  sink->Append("{\"stats\":");
+  sink->Append(StatsToJson(result.stats));
+  sink->Append(",\"rules\":[");
+  size_t written = 0;
+  for (const QuantRule& rule : result.rules) {
+    if (interesting_only && !rule.interesting) continue;
+    if (written++ > 0) sink->Append(',');
+    AppendRuleJson(rule, items, sink);
   }
-  return out;
+  sink->Append("]}");
+  return written;
+}
+
+size_t WriteRulesCsv(const std::vector<QuantRule>& rules,
+                     const MappedTable& mapped, bool interesting_only,
+                     RuleSink* sink) {
+  const ItemTextTable items = ItemsOf(rules, mapped, interesting_only);
+  sink->Append("antecedent,consequent,support,confidence,count,interesting\n");
+  size_t written = 0;
+  for (const QuantRule& rule : rules) {
+    if (interesting_only && !rule.interesting) continue;
+    sink->AppendCsvSide(rule.antecedent, items);
+    sink->Append(',');
+    sink->AppendCsvSide(rule.consequent, items);
+    sink->Append(',');
+    sink->AppendFixed(rule.support, 6);
+    sink->Append(',');
+    sink->AppendFixed(rule.confidence, 6);
+    sink->Append(',');
+    sink->AppendUint(rule.count);
+    sink->Append(',');
+    sink->AppendBool(rule.interesting);
+    sink->Append('\n');
+    ++written;
+  }
+  return written;
+}
+
+size_t WriteRulesText(const std::vector<QuantRule>& rules,
+                      const MappedTable& mapped, bool interesting_only,
+                      bool mark_interesting, RuleSink* sink) {
+  const ItemTextTable items = ItemsOf(rules, mapped, interesting_only);
+  size_t written = 0;
+  for (const QuantRule& rule : rules) {
+    if (interesting_only && !rule.interesting) continue;
+    AppendRuleText(rule, items, sink);
+    if (mark_interesting && rule.interesting) sink->Append("  [interesting]");
+    sink->Append('\n');
+    ++written;
+  }
+  return written;
+}
+
+void WriteItemsetsText(const std::vector<FrequentRangeItemset>& itemsets,
+                       const MappedTable& mapped, RuleSink* sink) {
+  ItemTextTable items(mapped.attributes());
+  for (const FrequentRangeItemset& f : itemsets) items.AddItems(f.items);
+  sink->Append("# ");
+  sink->AppendUint(itemsets.size());
+  sink->Append(" frequent itemsets\n");
+  for (const FrequentRangeItemset& f : itemsets) {
+    sink->AppendTextSide(f.items, items);
+    sink->Append("  (support ");
+    sink->AppendFixed(f.support * 100, 2);
+    sink->Append("%)\n");
+  }
+  sink->Append('\n');
 }
 
 }  // namespace qarm

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/string_util.h"
 #include "common/thread_pool.h"
 
 namespace qarm {
@@ -56,10 +55,23 @@ std::vector<QuantRule> GenerateQuantRules(
 }
 
 std::string RuleToString(const QuantRule& rule, const MappedTable& table) {
-  return StrFormat("%s => %s (support %.1f%%, confidence %.1f%%)",
-                   ItemsetToString(rule.antecedent, table).c_str(),
-                   ItemsetToString(rule.consequent, table).c_str(),
-                   rule.support * 100.0, rule.confidence * 100.0);
+  ItemTextTable items(table.attributes());
+  items.AddRule(rule);
+  RuleSink sink;
+  AppendRuleText(rule, items, &sink);
+  return sink.TakeString();
+}
+
+void AppendRuleText(const QuantRule& rule, const ItemTextTable& items,
+                    RuleSink* sink) {
+  sink->AppendTextSide(rule.antecedent, items);
+  sink->Append(" => ");
+  sink->AppendTextSide(rule.consequent, items);
+  sink->Append(" (support ");
+  sink->AppendFixed(rule.support * 100.0, 1);
+  sink->Append("%, confidence ");
+  sink->AppendFixed(rule.confidence * 100.0, 1);
+  sink->Append("%)");
 }
 
 }  // namespace qarm

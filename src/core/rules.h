@@ -11,6 +11,7 @@
 #include "core/frequent_items.h"
 #include "core/item.h"
 #include "mining/rulegen.h"
+#include "storage/rule_text.h"
 
 namespace qarm {
 
@@ -39,9 +40,12 @@ std::vector<QuantRule> GenerateQuantRules(
     size_t num_records, double minconf, size_t num_threads = 1,
     size_t* threads_used = nullptr);
 
-// "<Age: 20..29> and <Married: Yes> => <NumCars: 2> (support 40%,
-//  confidence 100%)".
+// "<Age: 20..29> and <Married: Yes> => <NumCars: 2> (support 40.0%,
+//  confidence 100.0%)".
 std::string RuleToString(const QuantRule& rule, const MappedTable& table);
+// The same text into `sink`; `items` must hold the rule's items.
+void AppendRuleText(const QuantRule& rule, const ItemTextTable& items,
+                    RuleSink* sink);
 
 }  // namespace qarm
 

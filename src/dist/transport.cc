@@ -163,6 +163,7 @@ bool TcpTransport::PickFault(uint64_t ordinal, FaultKind* kind) const {
 }
 
 void TcpTransport::AbortConnection() {
+  std::lock_guard<std::mutex> lock(fd_mu_);
   if (fd_ < 0) return;
   // SO_LINGER with zero timeout turns close() into an RST: the peer's next
   // read fails with ECONNRESET instead of a clean EOF, modeling a crashed
@@ -260,10 +261,16 @@ Status TcpTransport::Write(const void* data, size_t size) {
 }
 
 void TcpTransport::Close() {
+  std::lock_guard<std::mutex> lock(fd_mu_);
   if (fd_ >= 0) {
     ::close(fd_);
     fd_ = -1;
   }
+}
+
+void TcpTransport::Shutdown() {
+  std::lock_guard<std::mutex> lock(fd_mu_);
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }
 
 Result<int> TcpConnect(const std::string& host, uint16_t port,

@@ -22,6 +22,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <mutex>
 #include <string>
 
 #include "common/status.h"
@@ -100,7 +101,11 @@ class TcpTransport : public Transport {
   Status Write(const void* data, size_t size) override;
   void Close() override;
 
-  int fd() const { return fd_; }
+  // Wakes a Read or Write blocked on this connection, from any thread:
+  // shutdown(2) on the socket, which stays open until Close. Close and an
+  // injected reset serialize with it, so it never reaches a descriptor
+  // number that is already closed (or reused by a later connection).
+  void Shutdown();
 
   // The worker server learns the session's fault config and write deadline
   // from the Hello — which arrives over this very transport — so both are
@@ -115,6 +120,9 @@ class TcpTransport : public Transport {
   // Sets SO_LINGER(0) and closes, so the peer sees RST, not orderly EOF.
   void AbortConnection();
 
+  // Read and Write use fd_ only on the owning thread, which alone closes
+  // it; the mutex orders that close against another thread's Shutdown.
+  std::mutex fd_mu_;
   int fd_ = -1;
   uint64_t io_timeout_ms_ = 0;
   uint64_t read_timeout_ms_ = 0;

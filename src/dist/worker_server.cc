@@ -31,13 +31,11 @@ void WorkerServer::Stop() {
     if (stopping_) return;
     stopping_ = true;
     // Sessions block in recv with no deadline (idle between passes is
-    // normal); shutdown makes those reads fail so the threads exit. The
+    // normal); shutdown makes those reads fail so the threads exit. A
+    // session may be closing its own transport (an injected reset) at
+    // this moment, which is why Shutdown serializes with Close. The
     // transports are closed by their owning shared_ptrs after the join.
-    for (Session& session : sessions_) {
-      if (session.transport->fd() >= 0) {
-        ::shutdown(session.transport->fd(), SHUT_RDWR);
-      }
-    }
+    for (Session& session : sessions_) session.transport->Shutdown();
   }
   // shutdown wakes the blocked accept; the fd is closed only after the
   // join, so the accept loop never reads it mid-close (or a reused fd).

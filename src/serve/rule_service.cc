@@ -8,38 +8,6 @@
 namespace qarm {
 namespace {
 
-// Serving-side JSON string escaping (matches the report writer's rules).
-std::string JsonString(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
 using Params = std::vector<std::pair<std::string, std::string>>;
 
 // Last occurrence wins, matching common query-string semantics.
@@ -81,7 +49,7 @@ bool BoolParam(const Params& params, const std::string& key) {
 HttpResponse ErrorResponse(int status, const std::string& message) {
   HttpResponse response;
   response.status = status;
-  response.body = "{\"error\":" + JsonString(message) + "}";
+  response.body = "{\"error\":" + JsonEscape(message) + "}";
   return response;
 }
 
@@ -108,7 +76,8 @@ std::string CacheStatsJson(const ResultCacheStats& stats) {
 
 RuleService::RuleService(std::shared_ptr<const RuleCatalog> catalog,
                          const RuleServiceOptions& options)
-    : catalog_(std::move(catalog)) {
+    : catalog_(std::move(catalog)), items_(catalog_->attributes()) {
+  for (const StoredRule& rule : catalog_->rules()) items_.AddRule(rule);
   if (options.cache_bytes > 0) {
     cache_manager_ =
         std::make_unique<ResultCacheManager>(options.cache_bytes);
@@ -140,45 +109,32 @@ std::string RuleService::CanonicalKey(const HttpRequest& request) {
   return key;
 }
 
-std::string RuleService::RuleToJson(uint32_t rule_id) const {
-  const StoredRule& rule = catalog_->rules()[rule_id];
-  const std::vector<MappedAttribute>& attrs = catalog_->attributes();
-  auto side_json = [&](const std::vector<StoredItem>& side) {
-    std::string out = "[";
-    for (size_t i = 0; i < side.size(); ++i) {
-      if (i > 0) out += ',';
-      const StoredItem& item = side[i];
-      const MappedAttribute& attr = attrs[static_cast<size_t>(item.attr)];
-      out += "{\"attribute\":" + JsonString(attr.name);
-      out += ",\"kind\":";
-      out += attr.kind == AttributeKind::kQuantitative ? "\"quantitative\""
-                                                       : "\"categorical\"";
-      if (attr.kind == AttributeKind::kQuantitative) {
-        Interval raw = attr.RawInterval(item.lo, item.hi);
-        out += ",\"lo\":" + FormatDouble(raw.lo);
-        out += ",\"hi\":" + FormatDouble(raw.hi);
-      } else {
-        out += ",\"value\":" + JsonString(attr.DecodeRange(item.lo, item.hi));
-      }
-      out += ",\"display\":" + JsonString(attr.DecodeRange(item.lo, item.hi));
-      out += '}';
-    }
-    out += ']';
-    return out;
-  };
-  std::string out = StrFormat("{\"id\":%u,\"antecedent\":", rule_id);
-  out += side_json(rule.antecedent);
-  out += ",\"consequent\":";
-  out += side_json(rule.consequent);
-  out += StrFormat(
-      ",\"support\":%s,\"confidence\":%s,\"lift\":%s,\"count\":%llu,"
-      "\"interesting\":%s}",
-      FormatDouble(rule.support).c_str(),
-      FormatDouble(rule.confidence).c_str(),
-      FormatDouble(rule.lift).c_str(),
-      static_cast<unsigned long long>(rule.count),
-      rule.interesting ? "true" : "false");
-  return out;
+void RuleService::AppendRulesJson(const std::vector<uint32_t>& rule_ids,
+                                  size_t n, RuleSink* sink) const {
+  sink->Append('[');
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t rule_id = rule_ids[i];
+    const StoredRule& rule = catalog_->rules()[rule_id];
+    if (i > 0) sink->Append(',');
+    sink->Append("{\"id\":");
+    sink->AppendUint(rule_id);
+    sink->Append(",\"antecedent\":");
+    sink->AppendJsonSide(rule.antecedent, items_);
+    sink->Append(",\"consequent\":");
+    sink->AppendJsonSide(rule.consequent, items_);
+    sink->Append(",\"support\":");
+    sink->AppendDouble(rule.support);
+    sink->Append(",\"confidence\":");
+    sink->AppendDouble(rule.confidence);
+    sink->Append(",\"lift\":");
+    sink->AppendDouble(rule.lift);
+    sink->Append(",\"count\":");
+    sink->AppendUint(rule.count);
+    sink->Append(",\"interesting\":");
+    sink->AppendBool(rule.interesting);
+    sink->Append('}');
+  }
+  sink->Append(']');
 }
 
 HttpResponse RuleService::Handle(const HttpRequest& request) {
@@ -260,15 +216,11 @@ HttpResponse RuleService::HandleMatch(const Params& params) {
   std::vector<uint32_t> matched;
   catalog_->MatchRules(*record, mode, &scratch, &matched);
 
-  std::string body =
-      StrFormat("{\"count\":%zu,\"rules\":[", matched.size());
-  const size_t shown = std::min(matched.size(), *limit);
-  for (size_t i = 0; i < shown; ++i) {
-    if (i > 0) body += ',';
-    body += RuleToJson(matched[i]);
-  }
-  body += "]}";
-  return JsonOk(std::move(body));
+  RuleSink body;
+  body.Append(StrFormat("{\"count\":%zu,\"rules\":", matched.size()));
+  AppendRulesJson(matched, std::min(matched.size(), *limit), &body);
+  body.Append('}');
+  return JsonOk(body.TakeString());
 }
 
 HttpResponse RuleService::HandleTopK(const Params& params) {
@@ -292,14 +244,12 @@ HttpResponse RuleService::HandleTopK(const Params& params) {
   }
   const std::vector<uint32_t> top =
       catalog_->TopK(measure, attr, *k, BoolParam(params, "interesting"));
-  std::string body = StrFormat("{\"metric\":\"%s\",\"count\":%zu,\"rules\":[",
-                               RankMeasureName(measure), top.size());
-  for (size_t i = 0; i < top.size(); ++i) {
-    if (i > 0) body += ',';
-    body += RuleToJson(top[i]);
-  }
-  body += "]}";
-  return JsonOk(std::move(body));
+  RuleSink body;
+  body.Append(StrFormat("{\"metric\":\"%s\",\"count\":%zu,\"rules\":",
+                        RankMeasureName(measure), top.size()));
+  AppendRulesJson(top, top.size(), &body);
+  body.Append('}');
+  return JsonOk(body.TakeString());
 }
 
 HttpResponse RuleService::HandleRules(const Params& params) {
@@ -328,15 +278,13 @@ HttpResponse RuleService::HandleRules(const Params& params) {
   size_t total = 0;
   const std::vector<uint32_t> page =
       catalog_->Browse(filter, *offset, *limit, &total);
-  std::string body = StrFormat(
-      "{\"total\":%zu,\"offset\":%zu,\"limit\":%zu,\"rules\":[", total,
-      *offset, *limit);
-  for (size_t i = 0; i < page.size(); ++i) {
-    if (i > 0) body += ',';
-    body += RuleToJson(page[i]);
-  }
-  body += "]}";
-  return JsonOk(std::move(body));
+  RuleSink body;
+  body.Append(
+      StrFormat("{\"total\":%zu,\"offset\":%zu,\"limit\":%zu,\"rules\":",
+                total, *offset, *limit));
+  AppendRulesJson(page, page.size(), &body);
+  body.Append('}');
+  return JsonOk(body.TakeString());
 }
 
 HttpResponse RuleService::HandleStatz() {

@@ -36,6 +36,7 @@
 #include "serve/http_server.h"
 #include "serve/result_cache.h"
 #include "serve/rule_catalog.h"
+#include "storage/rule_text.h"
 
 namespace qarm {
 
@@ -60,8 +61,14 @@ class RuleService {
     return cache_manager_.get();
   }
 
-  // Renders one rule as a JSON object (shared with `qarm rules dump`).
-  std::string RuleToJson(uint32_t rule_id) const;
+  // The catalog's items, each rendered once at construction; read-only
+  // afterwards, so request threads share it without locks.
+  const ItemTextTable& items() const { return items_; }
+
+  // Appends the first `n` of `rule_ids` as a JSON array of rule objects
+  // (shared with `qarm rules dump`).
+  void AppendRulesJson(const std::vector<uint32_t>& rule_ids, size_t n,
+                       RuleSink* sink) const;
 
  private:
   HttpResponse HandleMatch(
@@ -73,6 +80,7 @@ class RuleService {
   HttpResponse HandleStatz();
 
   std::shared_ptr<const RuleCatalog> catalog_;
+  ItemTextTable items_;
   std::unique_ptr<ResultCacheManager> cache_manager_;
   std::shared_ptr<ResultCache> match_cache_;  // null when caching disabled
   std::shared_ptr<ResultCache> topk_cache_;

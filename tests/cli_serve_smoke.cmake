@@ -56,6 +56,33 @@ if(NOT rc EQUAL 0 OR NOT dump_json MATCHES "\"num_rules\":")
   message(FATAL_ERROR "rules dump --format=json failed (rc ${rc})")
 endif()
 
+# The JSON dump echoes the rule file's path: a path holding a quote and a
+# backslash must still come back as valid JSON carrying the path intact.
+# (cmake's own file commands would read the backslash as a separator.)
+set(WEIRD_DIR "${WORK_DIR}/we\"ird\\dir")
+set(WEIRD_RULES "${WEIRD_DIR}/r.qrs")
+execute_process(
+  COMMAND sh -c "mkdir -p \"$1\" && cp \"$2\" \"$1/r.qrs\"" sh
+          "${WEIRD_DIR}" "${RULES}"
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "could not copy ${RULES} to ${WEIRD_RULES}")
+endif()
+execute_process(
+  COMMAND ${QARM} rules dump "${WEIRD_RULES}" --format=json
+  OUTPUT_VARIABLE weird_json
+  ERROR_VARIABLE weird_err
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "rules dump of ${WEIRD_RULES} exited ${rc}: ${weird_err}")
+endif()
+string(JSON weird_file ERROR_VARIABLE json_error GET "${weird_json}" file)
+if(json_error OR NOT weird_file STREQUAL "${WEIRD_RULES}")
+  message(FATAL_ERROR
+    "rules dump of ${WEIRD_RULES} is not valid JSON naming the file "
+    "(${json_error}; file='${weird_file}'):\n${weird_json}")
+endif()
+
 # Launch the server detached (it self-stops after 60s as a backstop).
 execute_process(
   COMMAND sh -c "'${QARM}' serve --rules='${RULES}' --port=0 \

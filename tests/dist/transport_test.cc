@@ -189,6 +189,11 @@ FaultOutcome ExchangeWithFaults(const NetFaultInjection& faults,
   FaultOutcome outcome;
   LoopbackPeer peer;
   peer.Listen();
+  // Connect before the server runs: the listen backlog completes the
+  // handshake, so an injected reset cannot land before TcpConnect has
+  // checked its connect succeeded (it would report the reset instead).
+  auto fd = TcpConnect("127.0.0.1", peer.port(), 5000);
+  QARM_CHECK(fd.ok());
   std::thread server([&]() {
     TcpTransport transport(peer.Accept(), 5000, 5000, faults);
     for (size_t i = 0; i < frames; ++i) {
@@ -196,8 +201,6 @@ FaultOutcome ExchangeWithFaults(const NetFaultInjection& faults,
           SendFrame(transport, 1, "frame " + std::to_string(i)));
     }
   });
-  auto fd = TcpConnect("127.0.0.1", peer.port(), 5000);
-  QARM_CHECK(fd.ok());
   TcpTransport transport(*fd, 5000, 5000);
   server.join();  // all sends (and any RST) land before the client reads
   for (size_t i = 0; i < frames; ++i) {

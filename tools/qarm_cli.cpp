@@ -27,8 +27,10 @@
 // tests and the fuzz harnesses drive the same code path.
 #include <atomic>
 #include <chrono>
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
@@ -52,6 +54,7 @@
 #include "storage/mmap_file.h"
 #include "storage/qbt_writer.h"
 #include "storage/record_source.h"
+#include "storage/rule_text.h"
 #include "storage/rules_format.h"
 #include "table/csv.h"
 #include "table/datagen.h"
@@ -241,32 +244,32 @@ int ServeUntilInterrupted(const CliFlags& flags, Server& server,
 
 // One rule as display text: "Age[20..29] AND Married=Yes => NumCars[0..2]
 // (conf 71.2%, sup 12.3%, lift 1.35, count 123)".
-std::string StoredRuleToText(const StoredRule& rule,
-                             const std::vector<MappedAttribute>& attrs) {
-  auto side_text = [&](const std::vector<StoredItem>& side) {
-    std::string out;
-    for (size_t i = 0; i < side.size(); ++i) {
-      if (i > 0) out += " AND ";
-      const StoredItem& item = side[i];
-      const MappedAttribute& attr = attrs[static_cast<size_t>(item.attr)];
-      if (attr.kind == AttributeKind::kQuantitative) {
-        out += attr.name + "[" + attr.DecodeRange(item.lo, item.hi) + "]";
-      } else {
-        out += attr.name + "=" + attr.DecodeRange(item.lo, item.hi);
-      }
-    }
-    return out;
-  };
-  std::string out = side_text(rule.antecedent);
-  out += " => ";
-  out += side_text(rule.consequent);
-  out += StrFormat(" (conf %.1f%%, sup %.1f%%", rule.confidence * 100,
-                   rule.support * 100);
-  if (rule.lift > 0) out += StrFormat(", lift %.2f", rule.lift);
-  out += StrFormat(", count %llu)",
-                   static_cast<unsigned long long>(rule.count));
-  if (rule.interesting) out += "  [interesting]";
-  return out;
+void AppendStoredRuleText(const StoredRule& rule, const ItemTextTable& items,
+                          RuleSink* out) {
+  out->AppendDumpSide(rule.antecedent, items);
+  out->Append(" => ");
+  out->AppendDumpSide(rule.consequent, items);
+  out->Append(" (conf ");
+  out->AppendFixed(rule.confidence * 100, 1);
+  out->Append("%, sup ");
+  out->AppendFixed(rule.support * 100, 1);
+  out->Append('%');
+  if (rule.lift > 0) {
+    out->Append(", lift ");
+    out->AppendFixed(rule.lift, 2);
+  }
+  out->Append(", count ");
+  out->AppendUint(rule.count);
+  out->Append(')');
+  if (rule.interesting) out->Append("  [interesting]");
+}
+
+// Flushes `out` (stdout); exit code 1 with a diagnostic when any write
+// failed (a full disk, a closed pipe).
+int FinishOutput(RuleSink* out) {
+  if (out->Flush()) return 0;
+  std::fprintf(stderr, "cannot write the output: %s\n", std::strerror(errno));
+  return 1;
 }
 
 // `qarm rules dump FILE.qrs`: inspect a rule-set file with the same
@@ -299,18 +302,20 @@ int RunRulesDump(const CliFlags& flags) {
   size_t total = 0;
   const std::vector<uint32_t> selected = (*catalog)->Browse(
       filter, 0, std::numeric_limits<size_t>::max(), &total);
+  RuleServiceOptions service_options;
+  service_options.cache_bytes = 0;
+  const RuleService service(*catalog, service_options);
+  RuleSink out(stdout);
   if (flags.format == "json") {
-    RuleServiceOptions service_options;
-    service_options.cache_bytes = 0;
-    RuleService service(*catalog, service_options);
-    std::printf("{\"file\":\"%s\",\"num_rules\":%zu,\"selected\":%zu,"
-                "\"rules\":[",
-                path.c_str(), (*catalog)->rules().size(), total);
-    for (size_t i = 0; i < selected.size(); ++i) {
-      std::printf("%s%s", i > 0 ? "," : "",
-                  service.RuleToJson(selected[i]).c_str());
-    }
-    std::printf("]}\n");
+    out.Append("{\"file\":");
+    out.AppendJsonString(path);
+    out.Append(",\"num_rules\":");
+    out.AppendUint((*catalog)->rules().size());
+    out.Append(",\"selected\":");
+    out.AppendUint(total);
+    out.Append(",\"rules\":");
+    service.AppendRulesJson(selected, selected.size(), &out);
+    out.Append("}\n");
   } else {
     std::fprintf(stderr,
                  "# %s: %zu rules over %zu attributes, %llu records "
@@ -320,13 +325,12 @@ int RunRulesDump(const CliFlags& flags) {
                  static_cast<unsigned long long>((*catalog)->num_records()),
                  (*catalog)->minsup(), (*catalog)->minconf(), total);
     for (uint32_t rule_id : selected) {
-      std::printf("%s\n",
-                  StoredRuleToText((*catalog)->rules()[rule_id],
-                                   (*catalog)->attributes())
-                      .c_str());
+      AppendStoredRuleText((*catalog)->rules()[rule_id], service.items(),
+                           &out);
+      out.Append('\n');
     }
   }
-  return 0;
+  return FinishOutput(&out);
 }
 
 // `qarm worker`: serve QBT shards to a remote mining coordinator until
@@ -590,39 +594,26 @@ int Run(int argc, char** argv) {
                  static_cast<unsigned long long>(bytes));
   }
 
-  if (flags.format == "json") {
-    std::printf("%s\n",
-                MiningResultToJson(*result, flags.interesting_only).c_str());
-  } else if (flags.format == "csv") {
-    std::vector<QuantRule> to_print;
-    for (const QuantRule& rule : result->rules) {
-      if (flags.interesting_only && !rule.interesting) continue;
-      to_print.push_back(rule);
-    }
-    std::printf("%s", RulesToCsv(to_print, result->mapped).c_str());
-  }
-
-  if (flags.format == "text" && flags.show_itemsets) {
-    std::printf("# %zu frequent itemsets\n",
-                result->frequent_itemsets.size());
-    for (const FrequentRangeItemset& f : result->frequent_itemsets) {
-      std::printf("%s  (support %.2f%%)\n",
-                  ItemsetToString(f.items, result->mapped).c_str(),
-                  f.support * 100);
-    }
-    std::printf("\n");
-  }
-
+  // Every format streams through one buffered sink; no output is held
+  // whole.
+  RuleSink out(stdout);
+  Timer render_timer;
   size_t printed = 0;
-  for (const QuantRule& rule : result->rules) {
-    if (flags.interesting_only && !rule.interesting) continue;
-    if (flags.format == "text") {
-      std::printf("%s%s\n", RuleToString(rule, result->mapped).c_str(),
-                  flags.interest > 0 && rule.interesting ? "  [interesting]"
-                                                         : "");
+  if (flags.format == "json") {
+    printed = WriteMiningResultJson(*result, flags.interesting_only, &out);
+    out.Append('\n');
+  } else if (flags.format == "csv") {
+    printed = WriteRulesCsv(result->rules, result->mapped,
+                            flags.interesting_only, &out);
+  } else {
+    if (flags.show_itemsets) {
+      WriteItemsetsText(result->frequent_itemsets, result->mapped, &out);
     }
-    ++printed;
+    printed = WriteRulesText(result->rules, result->mapped,
+                             flags.interesting_only, flags.interest > 0, &out);
   }
+  if (FinishOutput(&out) != 0) return 1;
+  const double render_seconds = render_timer.ElapsedSeconds();
   if (flags.show_stats) {
     const MiningStats& stats = result->stats;
     std::fprintf(stderr,
@@ -631,6 +622,10 @@ int Run(int argc, char** argv) {
                  stats.num_records, stats.num_frequent_items, stats.num_rules,
                  stats.num_interesting_rules,
                  stats.achieved_partial_completeness, stats.total_seconds);
+    std::fprintf(stderr,
+                 "# render: format=%s rules=%zu bytes=%llu seconds=%.6f\n",
+                 flags.format.c_str(), printed,
+                 static_cast<unsigned long long>(out.bytes()), render_seconds);
     ScanIoStats io = stats.pass1_io;
     for (const PassStats& pass : stats.passes) io += pass.counting.io;
     if (io.blocks_read > 0) {
