@@ -5,8 +5,13 @@
 // rectangle counts.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "common/random.h"
-#include "index/rect_counter.h"
+#include "index/ndim_array.h"
+#include "index/rstar_tree.h"
 
 namespace qarm {
 namespace {
@@ -42,15 +47,45 @@ Workload MakeWorkload(size_t num_dims, int32_t domain, size_t num_rects,
   return w;
 }
 
-template <typename MakeCounter>
-void RunPass(benchmark::State& state, const Workload& w,
-             const MakeCounter& make_counter) {
+// One pass of the dense grid: bump each point's cell, then collect every
+// rectangle's count (through prefix sums, or the paper's cell sweep).
+void RunArrayPass(benchmark::State& state, const Workload& w,
+                  bool use_prefix_sums) {
   for (auto _ : state) {
-    auto counter = make_counter();
-    for (const auto& p : w.points) counter->ProcessPoint(p.data());
-    counter->Finalize();
-    std::vector<uint64_t> counts;
-    counter->Collect(&counts);
+    NDimArray array(w.dims);
+    for (const auto& p : w.points) array.Increment(p.data());
+    if (use_prefix_sums) array.BuildPrefixSums();
+    std::vector<uint64_t> counts(w.rects.size());
+    for (size_t i = 0; i < w.rects.size(); ++i) {
+      counts[i] = array.CountRect(w.rects[i]);
+    }
+    benchmark::DoNotOptimize(counts);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(w.points.size()));
+}
+
+// One pass of the R*-tree: index the rectangles, then count every point's
+// containing rectangles.
+void RunTreePass(benchmark::State& state, const Workload& w) {
+  const size_t dims = w.dims.size();
+  for (auto _ : state) {
+    RStarTree tree(dims);
+    for (size_t i = 0; i < w.rects.size(); ++i) {
+      RStarRect rect;
+      for (size_t d = 0; d < dims; ++d) {
+        rect.lo[d] = static_cast<double>(w.rects[i].lo[d]);
+        rect.hi[d] = static_cast<double>(w.rects[i].hi[d]);
+      }
+      tree.Insert(rect, static_cast<int32_t>(i));
+    }
+    std::vector<uint64_t> counts(w.rects.size(), 0);
+    double coords[kRStarMaxDims];
+    for (const auto& p : w.points) {
+      for (size_t d = 0; d < dims; ++d) coords[d] = p[d];
+      tree.ForEachContaining(
+          coords, [&counts](int32_t id) { ++counts[static_cast<size_t>(id)]; });
+    }
     benchmark::DoNotOptimize(counts);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -60,9 +95,7 @@ void RunPass(benchmark::State& state, const Workload& w,
 void BM_ArrayPrefix(benchmark::State& state) {
   Workload w = MakeWorkload(static_cast<size_t>(state.range(0)), 32,
                             static_cast<size_t>(state.range(1)), 20000);
-  RunPass(state, w, [&] {
-    return std::make_unique<ArrayRectangleCounter>(w.dims, w.rects, true);
-  });
+  RunArrayPass(state, w, /*use_prefix_sums=*/true);
 }
 BENCHMARK(BM_ArrayPrefix)
     ->Args({1, 1000})
@@ -73,9 +106,7 @@ BENCHMARK(BM_ArrayPrefix)
 void BM_ArraySweep(benchmark::State& state) {
   Workload w = MakeWorkload(static_cast<size_t>(state.range(0)), 32,
                             static_cast<size_t>(state.range(1)), 20000);
-  RunPass(state, w, [&] {
-    return std::make_unique<ArrayRectangleCounter>(w.dims, w.rects, false);
-  });
+  RunArrayPass(state, w, /*use_prefix_sums=*/false);
 }
 BENCHMARK(BM_ArraySweep)
     ->Args({1, 1000})
@@ -86,9 +117,7 @@ BENCHMARK(BM_ArraySweep)
 void BM_RStarTree(benchmark::State& state) {
   Workload w = MakeWorkload(static_cast<size_t>(state.range(0)), 32,
                             static_cast<size_t>(state.range(1)), 20000);
-  RunPass(state, w, [&] {
-    return std::make_unique<RTreeRectangleCounter>(w.dims.size(), w.rects);
-  });
+  RunTreePass(state, w);
 }
 BENCHMARK(BM_RStarTree)
     ->Args({1, 1000})
@@ -96,13 +125,11 @@ BENCHMARK(BM_RStarTree)
     ->Args({2, 10000})
     ->Args({3, 1000});
 
-// The heuristic's decision point: high dimensionality with a big domain,
-// where the dense grid would be enormous.
+// High dimensionality with a big domain, where the dense grid would be
+// enormous and the tree is the only option.
 void BM_TreeHighDim(benchmark::State& state) {
   Workload w = MakeWorkload(5, 50, 2000, 20000);
-  RunPass(state, w, [&] {
-    return std::make_unique<RTreeRectangleCounter>(w.dims.size(), w.rects);
-  });
+  RunTreePass(state, w);
 }
 BENCHMARK(BM_TreeHighDim);
 

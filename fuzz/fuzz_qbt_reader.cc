@@ -1,17 +1,23 @@
-// Fuzz harness for the QBT reader: the input bytes are written to a scratch
-// file and opened through QbtFileSource (header, attribute metadata, and
-// block-index validation), then every block is read (CRC validation +
-// column decode). Property: a truncated, bit-flipped, or wholly synthetic
-// file never crashes, aborts, or triggers an absurd allocation — every
-// defect surfaces as an IOError/InvalidArgument Status.
+// Fuzz harness for the QBT reader and its crash recovery: the input bytes
+// are written to a scratch file and opened through QbtFileSource (header,
+// attribute metadata, and block-index validation), then every block is read
+// (CRC validation + column decode). When the open fails, RecoverQbt runs on
+// the same file (the torn-append tail scan `qarm append` and `mine --append`
+// run on untrusted files). Properties: a truncated, bit-flipped, or wholly
+// synthetic file never crashes, aborts, or triggers an absurd allocation —
+// every defect surfaces as an IOError/InvalidArgument Status — and a file
+// that recovery reports OK then opens, after which its blocks are read like
+// any opened file's.
 #include <unistd.h>
 
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "storage/qbt_writer.h"
 #include "storage/record_source.h"
 
 namespace {
@@ -37,7 +43,11 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   std::fclose(f);
 
   auto source = qarm::QbtFileSource::Open(path);
-  if (!source.ok()) return 0;
+  if (!source.ok()) {
+    if (!qarm::RecoverQbt(path).ok()) return 0;
+    source = qarm::QbtFileSource::Open(path);
+    if (!source.ok()) std::abort();  // recovery left a file Open rejects
+  }
 
   qarm::BlockView view;
   for (size_t b = 0; b < (*source)->num_blocks(); ++b) {

@@ -1,6 +1,5 @@
 #include "core/apriori_quant.h"
 
-#include <cmath>
 #include <memory>
 #include <utility>
 
@@ -48,9 +47,7 @@ Result<FrequentItemsetResult> MineFrequentItemsets(
     const AfterPassFn& after_pass, const CountSupportsFn& count_supports) {
   FrequentItemsetResult result;
   const size_t num_rows = source.num_rows();
-  uint64_t min_count = static_cast<uint64_t>(
-      std::ceil(options.minsup * static_cast<double>(num_rows) - 1e-9));
-  if (min_count == 0) min_count = 1;
+  const uint64_t min_count = MinSupportCount(options.minsup, num_rows);
 
   Timer timer;
   size_t k = 0;
@@ -60,7 +57,7 @@ Result<FrequentItemsetResult> MineFrequentItemsets(
     // one; its itemsets were checkpointed in generation (lexicographic)
     // order, which GenerateCandidates requires.
     result = *resume_from;
-    if (options.collect_candidate_counts) {
+    if (options.append_mode) {
       // A base restored from an older checkpoint may lack some passes'
       // counts; keep the vector parallel to `passes` regardless.
       result.candidate_counts.resize(result.passes.size());
@@ -91,7 +88,7 @@ Result<FrequentItemsetResult> MineFrequentItemsets(
     result.passes.push_back(pass);
     // Pass 1 counts nothing (L1 supports live in the catalog), so its
     // candidate-count slot stays empty.
-    if (options.collect_candidate_counts) {
+    if (options.append_mode) {
       result.candidate_counts.emplace_back();
     }
     if (after_pass) QARM_RETURN_NOT_OK(after_pass(result));
@@ -126,7 +123,7 @@ Result<FrequentItemsetResult> MineFrequentItemsets(
     if (candidates->size() == 0) {
       pass.seconds = timer.ElapsedSeconds();
       result.passes.push_back(pass);
-      if (options.collect_candidate_counts) {
+      if (options.append_mode) {
         result.candidate_counts.emplace_back();
       }
       if (after_pass) QARM_RETURN_NOT_OK(after_pass(result));
@@ -156,7 +153,7 @@ Result<FrequentItemsetResult> MineFrequentItemsets(
     pass.num_frequent = next.size();
     pass.seconds = timer.ElapsedSeconds();
     result.passes.push_back(pass);
-    if (options.collect_candidate_counts) {
+    if (options.append_mode) {
       result.candidate_counts.push_back(std::move(counts));
     }
     if (after_pass) QARM_RETURN_NOT_OK(after_pass(result));

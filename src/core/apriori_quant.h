@@ -35,12 +35,11 @@ struct FrequentItemsetResult {
   // generation is shared with the [AS94] implementation).
   std::vector<FrequentItemset> itemsets;
   std::vector<PassStats> passes;
-  // With MinerOptions::collect_candidate_counts: one vector per completed
-  // pass (parallel to `passes`), holding the FULL per-candidate counts of
-  // that pass in generation order (empty for passes that counted nothing —
-  // pass 1 and the terminating empty pass). Incremental mining checkpoints
-  // these so a later run can merge delta counts positionally. Empty when
-  // collection is off.
+  // With MinerOptions::append_mode: one vector per completed pass (parallel
+  // to `passes`), holding the FULL per-candidate counts of that pass in
+  // generation order (empty for passes that counted nothing — pass 1 and
+  // the terminating empty pass). Incremental mining checkpoints these so a
+  // later run can merge delta counts positionally. Empty otherwise.
   std::vector<std::vector<uint32_t>> candidate_counts;
 };
 

@@ -27,11 +27,7 @@ std::vector<QuantRule> MiningResult::InterestingRules() const {
 }
 
 QuantitativeRuleMiner::QuantitativeRuleMiner(const MinerOptions& options)
-    : options_(options) {
-  // A checkpoint without full candidate counts cannot seed an incremental
-  // run, which is the whole point of append mode.
-  if (options_.append_mode) options_.collect_candidate_counts = true;
-}
+    : options_(options) {}
 
 Status QuantitativeRuleMiner::ValidateOptions() const {
   return options_.Validate();

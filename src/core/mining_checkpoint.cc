@@ -101,7 +101,7 @@ CheckpointState BuildCheckpointState(uint64_t fingerprint,
                           itemset.items.end());
     saved.counts.push_back(itemset.count);
   }
-  // Full per-candidate counts (collect_candidate_counts) travel with the
+  // Full per-candidate counts (append mode) travel with the
   // pass they belong to; absent or mismatched vectors are simply not
   // stored — the checkpoint stays valid for resume, just not as an
   // incremental base for that pass.

@@ -50,12 +50,16 @@ Status SendFrame(Transport& transport, uint32_t type,
 Result<DistFrame> RecvFrame(Transport& transport, uint64_t* bytes_received) {
   uint8_t header[kDistFrameHeaderSize];
   QARM_RETURN_NOT_OK(ReadFull(transport, header, sizeof(header)));
-  if (std::memcmp(header, kDistFrameMagic, 4) != 0) {
+  ByteReader in(header, sizeof(header), StatusCode::kIOError, "frame header");
+  const uint8_t* magic = nullptr;
+  QARM_RETURN_NOT_OK(in.Take(sizeof(kDistFrameMagic), &magic));
+  if (std::memcmp(magic, kDistFrameMagic, sizeof(kDistFrameMagic)) != 0) {
     return Status::IOError("bad frame magic");
   }
   DistFrame frame;
-  frame.type = QbtReadU32(header + 4);
-  const uint64_t payload_size = QbtReadU64(header + 8);
+  uint64_t payload_size = 0;
+  QARM_RETURN_NOT_OK(in.ReadU32(&frame.type));
+  QARM_RETURN_NOT_OK(in.ReadU64(&payload_size));
   if (payload_size > kDistMaxPayload) {
     return Status::IOError(
         StrFormat("frame payload size %llu exceeds limit",

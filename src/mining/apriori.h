@@ -37,6 +37,12 @@ struct AprioriOptions {
   size_t num_threads = 1;
 };
 
+// The absolute support count a fraction `minsup` of `num_rows` records
+// demands: ceil(minsup * num_rows), less a 1e-9 guard so that a product
+// that is an integer up to rounding (0.3 * 10) is not bumped to the next
+// count, and at least 1. Every miner applies this one threshold.
+uint64_t MinSupportCount(double minsup, uint64_t num_rows);
+
 // Candidate generation (the apriori-gen function): joins L_{k-1} with itself
 // on the first k-2 items and prunes joins with an infrequent (k-1)-subset.
 // `frequent` must be lexicographically sorted. Exposed for testing.

@@ -12,14 +12,12 @@
 //
 // Layout (version 2, all integers little-endian via the QBT helpers;
 // version-1 files parse too — every version-2 field below marked [v2]
-// simply defaults to zero/absent):
+// simply defaults to zero/absent): the sealed-payload envelope of
+// envelope.h, with
 //
-//   Header (24 bytes)
+//   Header (24 bytes): the envelope prefix, no extension
 //     [0]  u8[4]  magic "QCP1"
-//     [4]  u32    endian marker 0x0A0B0C0D (shared with QBT)
-//     [8]  u32    format version (kCheckpointVersion)
-//     [12] u32    reserved (0)
-//     [16] u64    payload_size
+//     [12] u32    reserved (0; the envelope's header word)
 //
 //   Payload (payload_size bytes)
 //     u64 fingerprint        run identity: output-affecting options + the
@@ -56,9 +54,7 @@
 //                 lets an incremental run add delta counts positionally
 //                 instead of recounting the base
 //
-//   Tail (8 bytes)
-//     u32    CRC-32 of the payload bytes
-//     u8[4]  end magic "QCPE"
+//   Tail: the envelope's payload CRC-32 and end magic "QCPE".
 //
 // Writes are atomic: the writer streams to "<path>.tmp", flushes and (on
 // POSIX) fsyncs, then renames over <path>, so a crash mid-write leaves the
@@ -75,6 +71,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "storage/envelope.h"
 #include "storage/qbt_format.h"
 
 namespace qarm {
@@ -90,8 +87,11 @@ inline constexpr uint32_t kCheckpointMinVersion = 1;
 // completion — the state is a reusable incremental-mining base rather than
 // mid-run resume progress.
 inline constexpr uint32_t kCheckpointFlagComplete = 1u;
-inline constexpr size_t kCheckpointHeaderSize = 4 + 4 + 4 + 4 + 8;
-inline constexpr size_t kCheckpointTailSize = 4 + 4;
+inline constexpr size_t kCheckpointHeaderSize = kEnvelopePrefixSize;
+inline constexpr size_t kCheckpointTailSize = kEnvelopeTailSize;
+inline constexpr EnvelopeFormat kCheckpointEnvelope = {
+    kCheckpointMagic, kCheckpointEndMagic, kCheckpointMinVersion,
+    kCheckpointVersion, 0, "checkpoint"};
 
 // The item catalog's serialized state (see core/frequent_items.h).
 struct CheckpointCatalog {

@@ -1,12 +1,11 @@
 #include <cstdint>
 #include <cstring>
-#include <fstream>
+#include <memory>
 #include <string>
-#include <utility>
 
 #include "common/string_util.h"
 #include "storage/checkpoint_format.h"
-#include "storage/crc32.h"
+#include "storage/mmap_file.h"
 
 namespace qarm {
 namespace {
@@ -105,14 +104,13 @@ Result<CheckpointCatalog> ParseCheckpointCatalog(const uint8_t* data,
 }
 
 Result<ShardSnapshot> ParseShardSnapshot(const uint8_t* data, size_t size) {
-  if (size < sizeof(kShardSnapshotMagic) + 4 ||
-      std::memcmp(data, kShardSnapshotMagic, sizeof(kShardSnapshotMagic)) !=
-          0) {
+  ByteReader in(data, size, StatusCode::kInvalidArgument, "shard snapshot");
+  const uint8_t* magic = nullptr;
+  QARM_RETURN_NOT_OK(in.Take(sizeof(kShardSnapshotMagic), &magic));
+  if (std::memcmp(magic, kShardSnapshotMagic, sizeof(kShardSnapshotMagic)) !=
+      0) {
     return Status::InvalidArgument("not a QCP shard snapshot (bad magic)");
   }
-  ByteReader in(data + sizeof(kShardSnapshotMagic),
-                size - sizeof(kShardSnapshotMagic),
-                StatusCode::kInvalidArgument, "shard snapshot");
   uint32_t version = 0;
   QARM_RETURN_NOT_OK(in.ReadU32(&version));
   if (version != kShardSnapshotVersion) {
@@ -136,67 +134,21 @@ Result<ShardSnapshot> ParseShardSnapshot(const uint8_t* data, size_t size) {
 }
 
 Result<CheckpointState> ParseCheckpoint(const uint8_t* data, size_t size) {
-  if (size < kCheckpointHeaderSize + kCheckpointTailSize) {
-    return Status::InvalidArgument(
-        StrFormat("checkpoint too small: %zu bytes", size));
-  }
-  if (std::memcmp(data, kCheckpointMagic, sizeof(kCheckpointMagic)) != 0) {
-    return Status::InvalidArgument("not a QCP checkpoint (bad magic)");
-  }
-  if (QbtReadU32(data + 4) != kQbtEndianMarker) {
-    return Status::InvalidArgument(
-        "checkpoint endianness does not match this host");
-  }
-  const uint32_t version = QbtReadU32(data + 8);
-  if (version < kCheckpointMinVersion || version > kCheckpointVersion) {
-    return Status::InvalidArgument(StrFormat(
-        "unsupported checkpoint version %u (reader supports %u through %u)",
-        version, kCheckpointMinVersion, kCheckpointVersion));
-  }
-  const uint64_t payload_size = QbtReadU64(data + 16);
-  if (payload_size !=
-      size - kCheckpointHeaderSize - kCheckpointTailSize) {
-    return Status::InvalidArgument(StrFormat(
-        "checkpoint payload size %llu does not match file size %zu",
-        static_cast<unsigned long long>(payload_size), size));
-  }
-  const uint8_t* payload = data + kCheckpointHeaderSize;
-  const uint8_t* tail = payload + payload_size;
-  if (std::memcmp(tail + 4, kCheckpointEndMagic,
-                  sizeof(kCheckpointEndMagic)) != 0) {
-    return Status::InvalidArgument("checkpoint end magic missing");
-  }
-  const uint32_t expected_crc = QbtReadU32(tail);
-  const uint32_t actual_crc = Crc32(payload, static_cast<size_t>(payload_size));
-  if (expected_crc != actual_crc) {
-    return Status::IOError(StrFormat(
-        "checkpoint payload checksum mismatch (stored %08x, computed %08x)",
-        expected_crc, actual_crc));
-  }
-
+  QARM_ASSIGN_OR_RETURN(Envelope env,
+                        ParseEnvelope(kCheckpointEnvelope, data, size));
   CheckpointState state;
-  QARM_RETURN_NOT_OK(ParsePayload(payload, static_cast<size_t>(payload_size),
-                                  version, &state));
+  QARM_RETURN_NOT_OK(
+      ParsePayload(env.payload, env.payload_size, env.version, &state));
   return state;
 }
 
 Result<CheckpointState> ReadCheckpoint(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) {
-    return Status::NotFound("cannot open checkpoint '" + path + "'");
+  // The miner's resume logic branches on NotFound: no checkpoint to resume.
+  Result<std::unique_ptr<MmapFile>> file = MmapFile::Open(path);
+  if (!file.ok()) {
+    return Status::NotFound("checkpoint: " + file.status().message());
   }
-  const std::streamoff size = in.tellg();
-  if (size < 0) {
-    return Status::IOError("cannot stat checkpoint '" + path + "'");
-  }
-  std::string bytes(static_cast<size_t>(size), '\0');
-  in.seekg(0);
-  if (!bytes.empty() &&
-      !in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()))) {
-    return Status::IOError("cannot read checkpoint '" + path + "'");
-  }
-  return ParseCheckpoint(reinterpret_cast<const uint8_t*>(bytes.data()),
-                         bytes.size());
+  return ParseCheckpoint((*file)->data(), (*file)->size());
 }
 
 }  // namespace qarm

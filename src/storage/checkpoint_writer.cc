@@ -2,8 +2,6 @@
 #include <string>
 
 #include "storage/checkpoint_format.h"
-#include "storage/crc32.h"
-#include "storage/mmap_file.h"
 
 namespace qarm {
 namespace {
@@ -89,23 +87,8 @@ Status WriteCheckpoint(const CheckpointState& state, const std::string& path,
     }
   }
 
-  const std::string payload = EncodePayload(state);
-  std::string bytes;
-  bytes.reserve(kCheckpointHeaderSize + payload.size() + kCheckpointTailSize);
-  bytes.append(kCheckpointMagic, sizeof(kCheckpointMagic));
-  QbtAppendU32(&bytes, kQbtEndianMarker);
-  QbtAppendU32(&bytes, kCheckpointVersion);
-  QbtAppendU32(&bytes, 0);  // reserved
-  QbtAppendU64(&bytes, payload.size());
-  bytes.append(payload);
-  QbtAppendU32(&bytes, Crc32(payload.data(), payload.size()));
-  bytes.append(kCheckpointEndMagic, sizeof(kCheckpointEndMagic));
-
-  // A crash mid-write leaves the previous checkpoint valid — the crash
-  // window this file exists to close.
-  QARM_RETURN_NOT_OK(AtomicWriteFile(path, bytes));
-  if (bytes_written != nullptr) *bytes_written = bytes.size();
-  return Status::OK();
+  return WriteEnvelope(kCheckpointEnvelope, /*header_word=*/0, "",
+                       EncodePayload(state), path, bytes_written);
 }
 
 }  // namespace qarm

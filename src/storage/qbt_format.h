@@ -101,6 +101,20 @@ inline void QbtAppendString(std::string* out, const std::string& s) {
   out->append(s);
 }
 
+// One footer entry: where block b starts, its row count, and its CRC-32.
+struct QbtBlockEntry {
+  uint64_t offset = 0;
+  uint32_t num_rows = 0;
+  uint32_t crc32 = 0;
+};
+
+// The one encoder of a kQbtBlockIndexEntrySize-byte footer entry.
+inline void QbtAppendBlockEntry(std::string* out, const QbtBlockEntry& entry) {
+  QbtAppendU64(out, entry.offset);
+  QbtAppendU32(out, entry.num_rows);
+  QbtAppendU32(out, entry.crc32);
+}
+
 inline uint32_t QbtReadU32(const uint8_t* p) {
   return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
          static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;

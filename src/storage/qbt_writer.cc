@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
+#include <string_view>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -33,10 +33,9 @@ void EncodeBlock(const MappedTable& table, uint64_t row, size_t block_rows,
       slice[r] = table.value(static_cast<size_t>(row) + r, a);
     }
   }
-  const size_t block_bytes = block->size() * sizeof(int32_t);
-  QbtAppendU64(footer, offset);
-  QbtAppendU32(footer, static_cast<uint32_t>(block_rows));
-  QbtAppendU32(footer, Crc32(block->data(), block_bytes));
+  QbtAppendBlockEntry(
+      footer, {offset, static_cast<uint32_t>(block_rows),
+               Crc32(block->data(), block->size() * sizeof(int32_t))});
 }
 
 Status FlushAndSync(std::FILE* file, const std::string& path) {
@@ -132,62 +131,26 @@ Status RecoverQbt(const std::string& path, bool* recovered) {
   if (QbtReader::Open(path).ok()) return Status::OK();
 
   QARM_ASSIGN_OR_RETURN(std::unique_ptr<MmapFile> file, MmapFile::Open(path));
-  const uint8_t* data = file->data();
-  const size_t size = file->size();
-  if (size < kQbtHeaderSize + kQbtTailSize ||
-      std::memcmp(data, kQbtMagic, sizeof(kQbtMagic)) != 0 ||
-      QbtReadU32(data + 4) != kQbtEndianMarker ||
-      QbtReadU32(data + 8) != kQbtVersion) {
-    return Status::IOError("'" + path +
-                           "' is not a recoverable QBT file (bad header)");
-  }
-  const uint32_t rows_per_block = QbtReadU32(data + 12);
-  const uint64_t num_rows = QbtReadU64(data + 16);
-  const uint64_t metadata_size = QbtReadU64(data + 32);
-  const uint64_t data_begin = kQbtHeaderSize + metadata_size;
-  if (rows_per_block == 0 || metadata_size > size - kQbtHeaderSize) {
-    return Status::IOError("'" + path +
-                           "' is not a recoverable QBT file (bad header)");
+  QbtLayout layout;
+  const Status header = DecodeQbtHeader(file->data(), file->size(), &layout);
+  if (!header.ok()) {
+    return Status::IOError("'" + path + "' is not a recoverable QBT file: " +
+                           header.message());
   }
 
   // An interrupted append left partial suffix bytes after the last
   // committed tail (or a complete suffix whose row count was never
-  // committed to the header). Scan backwards for the most recent tail whose
-  // footer checksums and whose block rows sum to the committed header row
-  // count, and cut the file there.
-  for (size_t tail_end = size; tail_end >= data_begin + kQbtTailSize;
-       --tail_end) {
-    const uint8_t* tail = data + tail_end - kQbtTailSize;
-    if (std::memcmp(tail + 12, kQbtEndMagic, sizeof(kQbtEndMagic)) != 0) {
-      continue;
-    }
-    const uint64_t footer_offset = QbtReadU64(tail);
-    if (footer_offset < data_begin ||
-        footer_offset > tail_end - kQbtTailSize ||
-        (tail_end - kQbtTailSize - footer_offset) % kQbtBlockIndexEntrySize !=
-            0) {
-      continue;
-    }
-    const uint64_t footer_size = tail_end - kQbtTailSize - footer_offset;
-    const uint8_t* footer = data + footer_offset;
-    if (Crc32(footer, static_cast<size_t>(footer_size)) !=
-        QbtReadU32(tail + 8)) {
-      continue;
-    }
-    uint64_t rows = 0;
-    bool entries_ok = true;
-    for (uint64_t b = 0; b < footer_size / kQbtBlockIndexEntrySize; ++b) {
-      const uint8_t* entry = footer + b * kQbtBlockIndexEntrySize;
-      const uint64_t block_offset = QbtReadU64(entry);
-      const uint32_t block_rows = QbtReadU32(entry + 8);
-      if (block_rows == 0 || block_rows > rows_per_block ||
-          block_offset < data_begin || block_offset > footer_offset) {
-        entries_ok = false;
-        break;
-      }
-      rows += block_rows;
-    }
-    if (!entries_ok || rows != num_rows) continue;
+  // committed to the header). Try every end magic from the back: the first
+  // file prefix whose tail and index decode exactly as QbtReader::Open
+  // would decode them is the last committed state, so cut the file there.
+  const std::string_view image(reinterpret_cast<const char*>(file->data()),
+                               file->size());
+  const std::string_view end_magic(kQbtEndMagic, sizeof(kQbtEndMagic));
+  for (size_t at = image.rfind(end_magic); at != std::string_view::npos;
+       at = at == 0 ? std::string_view::npos
+                    : image.rfind(end_magic, at - 1)) {
+    const size_t tail_end = at + end_magic.size();
+    if (!DecodeQbtIndex(file->data(), tail_end, &layout).ok()) continue;
 
     file.reset();  // unmap before truncating
 #if defined(__unix__) || defined(__APPLE__)
@@ -244,12 +207,7 @@ Status AppendQbt(const MappedTable& delta, const std::string& path,
   // committed byte is ever rewritten, so a crash at any point here leaves
   // the old state intact.
   std::string suffix;
-  std::string footer;
-  for (size_t b = 0; b < old_blocks; ++b) {
-    QbtAppendU64(&footer, reader->block_offset(b));
-    QbtAppendU32(&footer, static_cast<uint32_t>(reader->block_rows(b)));
-    QbtAppendU32(&footer, reader->block_crc(b));
-  }
+  std::string footer = reader->EncodeIndexPrefix(old_blocks);
   uint64_t offset = old_size;
   uint64_t new_blocks = 0;
   std::vector<int32_t> block;

@@ -11,14 +11,12 @@
 // of core dependencies; src/core/rules_export.{h,cc} converts from the
 // miner's structures.
 //
-// Layout (version 1, all integers little-endian via the QBT helpers):
+// Layout (version 1, all integers little-endian via the QBT helpers): the
+// sealed-payload envelope of envelope.h, with
 //
-//   Header (32 bytes)
+//   Header (32 bytes): the envelope prefix plus one extension field
 //     [0]  u8[4]  magic "QRS1"
-//     [4]  u32    endian marker 0x0A0B0C0D (shared with QBT/QCP)
-//     [8]  u32    format version (kQrsVersion)
-//     [12] u32    num_attributes
-//     [16] u64    payload_size
+//     [12] u32    num_attributes (the envelope's header word)
 //     [24] u64    num_records (records the rules were mined from)
 //
 //   Payload (payload_size bytes)
@@ -36,9 +34,7 @@
 //         u64 count            (records supporting antecedent ∪ consequent)
 //         f64 support, f64 confidence, f64 lift
 //
-//   Tail (8 bytes)
-//     u32    CRC-32 of the payload bytes
-//     u8[4]  end magic "QRSE"
+//   Tail: the envelope's payload CRC-32 and end magic "QRSE".
 //
 // The reader validates magic, version, endianness, every declared count
 // against the actual byte budget (in division form, before any
@@ -56,14 +52,18 @@
 
 #include "common/status.h"
 #include "partition/mapped_table.h"
+#include "storage/envelope.h"
 
 namespace qarm {
 
 inline constexpr char kQrsMagic[4] = {'Q', 'R', 'S', '1'};
 inline constexpr char kQrsEndMagic[4] = {'Q', 'R', 'S', 'E'};
 inline constexpr uint32_t kQrsVersion = 1;
-inline constexpr size_t kQrsHeaderSize = 4 + 4 + 4 + 4 + 8 + 8;
-inline constexpr size_t kQrsTailSize = 4 + 4;
+inline constexpr size_t kQrsHeaderSize = kEnvelopePrefixSize + 8;
+inline constexpr size_t kQrsTailSize = kEnvelopeTailSize;
+inline constexpr EnvelopeFormat kQrsEnvelope = {
+    kQrsMagic, kQrsEndMagic, kQrsVersion, kQrsVersion,
+    kQrsHeaderSize - kEnvelopePrefixSize, "rule set"};
 // Encoded bytes of one item: i32 attr + i32 lo + i32 hi.
 inline constexpr size_t kQrsItemBytes = 3 * 4;
 // Minimum encoded bytes of one rule: the four flag bytes, one item per

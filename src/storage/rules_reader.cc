@@ -1,7 +1,5 @@
-#include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
@@ -9,7 +7,7 @@
 
 #include "common/string_util.h"
 #include "storage/attr_metadata.h"
-#include "storage/crc32.h"
+#include "storage/envelope.h"
 #include "storage/mmap_file.h"
 #include "storage/qbt_format.h"
 #include "storage/rules_format.h"
@@ -155,52 +153,12 @@ Status ParsePayload(const uint8_t* data, size_t size, uint32_t num_attrs,
 }  // namespace
 
 Result<StoredRuleSet> ParseRuleSet(const uint8_t* data, size_t size) {
-  if constexpr (std::endian::native != std::endian::little) {
-    return Status::Internal("QRS reading requires a little-endian host");
-  }
-  if (size < kQrsHeaderSize + kQrsTailSize) {
-    return Status::InvalidArgument(
-        StrFormat("rule set too small: %zu bytes", size));
-  }
-  if (std::memcmp(data, kQrsMagic, sizeof(kQrsMagic)) != 0) {
-    return Status::InvalidArgument("not a QRS rule set (bad magic)");
-  }
-  if (QbtReadU32(data + 4) != kQbtEndianMarker) {
-    return Status::InvalidArgument(
-        "rule-set endianness does not match this host");
-  }
-  const uint32_t version = QbtReadU32(data + 8);
-  if (version != kQrsVersion) {
-    return Status::InvalidArgument(StrFormat(
-        "unsupported rule-set version %u (expected %u)", version,
-        kQrsVersion));
-  }
-  const uint32_t num_attrs = QbtReadU32(data + 12);
-  const uint64_t payload_size = QbtReadU64(data + 16);
-  const uint64_t num_records = QbtReadU64(data + 24);
-  if (payload_size != size - kQrsHeaderSize - kQrsTailSize) {
-    return Status::InvalidArgument(StrFormat(
-        "rule-set payload size %llu does not match file size %zu",
-        static_cast<unsigned long long>(payload_size), size));
-  }
-  const uint8_t* payload = data + kQrsHeaderSize;
-  const uint8_t* tail = payload + payload_size;
-  if (std::memcmp(tail + 4, kQrsEndMagic, sizeof(kQrsEndMagic)) != 0) {
-    return Status::InvalidArgument("rule-set end magic missing");
-  }
-  const uint32_t expected_crc = QbtReadU32(tail);
-  const uint32_t actual_crc =
-      Crc32(payload, static_cast<size_t>(payload_size));
-  if (expected_crc != actual_crc) {
-    return Status::IOError(StrFormat(
-        "rule-set payload checksum mismatch (stored %08x, computed %08x)",
-        expected_crc, actual_crc));
-  }
-
+  QARM_ASSIGN_OR_RETURN(Envelope env, ParseEnvelope(kQrsEnvelope, data, size));
   StoredRuleSet set;
-  set.num_records = num_records;
-  QARM_RETURN_NOT_OK(ParsePayload(payload, static_cast<size_t>(payload_size),
-                                  num_attrs, num_records, &set));
+  set.num_records = QbtReadU64(env.extension);
+  QARM_RETURN_NOT_OK(ParsePayload(env.payload, env.payload_size,
+                                  /*num_attrs=*/env.header_word,
+                                  set.num_records, &set));
   return set;
 }
 

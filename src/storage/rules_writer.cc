@@ -1,11 +1,9 @@
-#include <cmath>
 #include <cstdint>
 #include <string>
 
 #include "common/string_util.h"
 #include "storage/attr_metadata.h"
-#include "storage/crc32.h"
-#include "storage/mmap_file.h"
+#include "storage/envelope.h"
 #include "storage/qbt_format.h"
 #include "storage/rules_format.h"
 
@@ -60,23 +58,11 @@ Status WriteRuleSet(const StoredRuleSet& set, const std::string& path,
     }
   }
 
-  const std::string payload = EncodePayload(set);
-  std::string bytes;
-  bytes.reserve(kQrsHeaderSize + payload.size() + kQrsTailSize);
-  bytes.append(kQrsMagic, sizeof(kQrsMagic));
-  QbtAppendU32(&bytes, kQbtEndianMarker);
-  QbtAppendU32(&bytes, kQrsVersion);
-  QbtAppendU32(&bytes, static_cast<uint32_t>(set.attributes.size()));
-  QbtAppendU64(&bytes, payload.size());
-  QbtAppendU64(&bytes, set.num_records);
-  bytes.append(payload);
-  QbtAppendU32(&bytes, Crc32(payload.data(), payload.size()));
-  bytes.append(kQrsEndMagic, sizeof(kQrsEndMagic));
-
-  // A crash mid-write leaves any previous rule set valid.
-  QARM_RETURN_NOT_OK(AtomicWriteFile(path, bytes));
-  if (bytes_written != nullptr) *bytes_written = bytes.size();
-  return Status::OK();
+  std::string num_records;
+  QbtAppendU64(&num_records, set.num_records);
+  return WriteEnvelope(kQrsEnvelope,
+                       static_cast<uint32_t>(set.attributes.size()),
+                       num_records, EncodePayload(set), path, bytes_written);
 }
 
 }  // namespace qarm

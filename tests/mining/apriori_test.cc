@@ -12,6 +12,39 @@ namespace {
 using testutil::BruteForceFrequent;
 using testutil::Sorted;
 
+// The one support threshold every miner applies. Rows are
+// {minsup, num_rows, expected count}.
+TEST(MinSupportCountTest, Table) {
+  struct Case {
+    double minsup;
+    uint64_t num_rows;
+    uint64_t expected;
+  };
+  const Case cases[] = {
+      // Exact integer products.
+      {0.5, 10, 5},
+      {0.3, 10, 3},
+      {0.15, 500000, 75000},
+      {1.0, 7, 7},
+      // Fractional products round up.
+      {0.25, 10, 3},
+      {0.01, 150, 2},
+      // 0.07 * 100 is 7.000000000000001 in doubles: the 1e-9 guard keeps
+      // it at 7 instead of bumping it to 8.
+      {0.07, 100, 7},
+      // Just below an integer stays on that integer.
+      {0.29, 100, 29},
+      // A zero product clamps to one record.
+      {0.0, 100, 1},
+      {0.5, 0, 1},
+      {1e-12, 100, 1},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(MinSupportCount(c.minsup, c.num_rows), c.expected)
+        << "minsup " << c.minsup << " rows " << c.num_rows;
+  }
+}
+
 TEST(AprioriGenTest, JoinAndPrune) {
   // L2 = {1,2},{1,3},{1,4},{2,3}: join gives {1,2,3},{1,2,4},{1,3,4};
   // {1,2,4} is pruned ({2,4} not frequent), {1,3,4} pruned ({3,4} missing).

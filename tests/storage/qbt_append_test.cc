@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "partition/mapped_table.h"
+#include "storage/crc32.h"
 #include "storage/qbt_reader.h"
 #include "storage/qbt_writer.h"
 #include "storage/record_source.h"
@@ -234,6 +235,39 @@ TEST(QbtAppendTest, RecoveryTruncatesEveryTornAppendPrefix) {
   auto source = QbtFileSource::Open(torn_path);
   ASSERT_TRUE(source.ok());
   ExpectConcatenatedValues({&base, &delta}, **source);
+}
+
+// Recovery judges every candidate tail with Open's own index decoder, so
+// a checksummed tail that Open would reject (here: a misaligned block
+// offset) is skipped instead of cut to.
+TEST(QbtAppendTest, RecoverySkipsTailsOpenRejects) {
+  const std::string path = TempPath("append_bad_candidate.qbt");
+  ASSERT_TRUE(WriteQbt(MakeTable(48, 0), path, {/*rows_per_block=*/16}).ok());
+  const std::string committed = ReadFileBytes(path);
+
+  // A torn suffix holding a well-formed footer and tail whose rows still
+  // sum to the committed header, but whose first block offset is off by 2.
+  std::string footer;
+  {
+    auto reader = QbtReader::Open(path);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    for (size_t b = 0; b < (*reader)->num_blocks(); ++b) {
+      QbtAppendBlockEntry(
+          &footer, {(*reader)->block_offset(b) + (b == 0 ? 2 : 0),
+                    static_cast<uint32_t>((*reader)->block_rows(b)), 0});
+    }
+  }
+  std::string torn = committed + footer;
+  QbtAppendU64(&torn, committed.size());
+  QbtAppendU32(&torn, Crc32(footer.data(), footer.size()));
+  torn.append(kQbtEndMagic, sizeof(kQbtEndMagic));
+  WriteFileBytes(path, torn);
+
+  bool recovered = false;
+  const Status status = RecoverQbt(path, &recovered);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_TRUE(recovered);
+  EXPECT_EQ(ReadFileBytes(path), committed);
 }
 
 // An append onto a torn file recovers it first, then appends cleanly.
