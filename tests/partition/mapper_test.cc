@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "partition/taxonomy.h"
 #include "table/datagen.h"
 
 namespace qarm {
@@ -157,6 +158,163 @@ TEST(MappedTableTest, DecodeRangeFormats) {
   EXPECT_EQ(s, "23..38");
   const MappedAttribute& married = mapped->attribute(1);
   EXPECT_EQ(married.DecodeRange(1, 1), "Yes");
+}
+
+// Codes of column `c` for every row of `mapped`.
+std::vector<int32_t> Codes(const MappedTable& mapped, size_t c) {
+  std::vector<int32_t> out;
+  for (size_t r = 0; r < mapped.num_rows(); ++r) {
+    out.push_back(mapped.value(r, c));
+  }
+  return out;
+}
+
+Taxonomy DrinksTaxonomy() {
+  // drinks -> {hot -> {coffee, tea}, cold -> {soda, juice}}
+  return Taxonomy::Make({{"hot", "drinks"},
+                         {"cold", "drinks"},
+                         {"coffee", "hot"},
+                         {"tea", "hot"},
+                         {"soda", "cold"},
+                         {"juice", "cold"}})
+      .value();
+}
+
+Schema DrinkSizeSchema() {
+  return Schema::Make(
+             {{"drink", AttributeKind::kCategorical, ValueType::kString},
+              {"size", AttributeKind::kCategorical, ValueType::kString}})
+      .value();
+}
+
+// A taxonomy column (reachable only through the library, not the CLI)
+// takes its labels in DFS leaf order, keeps absent leaves, records the
+// interior ranges and maps NULL to kMissingValue; the plain column beside
+// it is labelled in byte order.
+TEST(MapperTest, TaxonomyColumnPinned) {
+  Table table(DrinkSizeSchema());
+  table.AppendRowUnchecked({Value("tea"), Value("L")});
+  table.AppendRowUnchecked({Value("juice"), Value::Null()});
+  table.AppendRowUnchecked({Value::Null(), Value("S")});
+  table.AppendRowUnchecked({Value("coffee"), Value("M")});
+  table.AppendRowUnchecked({Value("tea"), Value("S")});
+  table.AppendRowUnchecked({Value("tea"), Value("L")});
+  MapOptions options;
+  options.taxonomies.emplace_back("drink", DrinksTaxonomy());
+  auto mapped = MapTable(table, options);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+
+  const MappedAttribute& drink = mapped->attribute(0);
+  EXPECT_EQ(drink.labels,
+            (std::vector<std::string>{"coffee", "tea", "soda", "juice"}));
+  ASSERT_EQ(drink.taxonomy_ranges.size(), 3u);
+  EXPECT_EQ(drink.taxonomy_ranges[0].name, "drinks");
+  EXPECT_EQ(drink.taxonomy_ranges[0].lo, 0);
+  EXPECT_EQ(drink.taxonomy_ranges[0].hi, 3);
+  EXPECT_EQ(drink.taxonomy_ranges[1].name, "hot");
+  EXPECT_EQ(drink.taxonomy_ranges[1].lo, 0);
+  EXPECT_EQ(drink.taxonomy_ranges[1].hi, 1);
+  EXPECT_EQ(drink.taxonomy_ranges[2].name, "cold");
+  EXPECT_EQ(drink.taxonomy_ranges[2].lo, 2);
+  EXPECT_EQ(drink.taxonomy_ranges[2].hi, 3);
+  EXPECT_EQ(Codes(*mapped, 0), (std::vector<int32_t>{1, 3, -1, 0, 1, 1}));
+
+  const MappedAttribute& size = mapped->attribute(1);
+  EXPECT_EQ(size.labels, (std::vector<std::string>{"L", "M", "S"}));
+  EXPECT_TRUE(size.taxonomy_ranges.empty());
+  EXPECT_EQ(Codes(*mapped, 1), (std::vector<int32_t>{0, -1, 2, 1, 2, 0}));
+}
+
+TEST(MapperTest, TaxonomyRejectsInteriorValue) {
+  Table table(DrinkSizeSchema());
+  table.AppendRowUnchecked({Value("tea"), Value("L")});
+  table.AppendRowUnchecked({Value("hot"), Value("L")});
+  MapOptions options;
+  options.taxonomies.emplace_back("drink", DrinksTaxonomy());
+  auto mapped = MapTable(table, options);
+  ASSERT_FALSE(mapped.ok());
+  EXPECT_EQ(mapped.status().ToString(),
+            "InvalidArgument: value 'hot' of attribute 'drink' is not a leaf "
+            "of its taxonomy");
+}
+
+// Categorical columns of a numeric type are labelled in numeric order.
+TEST(MapperTest, NumericCategoricalLabels) {
+  Schema schema =
+      Schema::Make({{"k", AttributeKind::kCategorical, ValueType::kInt64},
+                    {"d", AttributeKind::kCategorical, ValueType::kDouble}})
+          .value();
+  Table table(schema);
+  table.AppendRowUnchecked({Value(int64_t{10}), Value(2.5)});
+  table.AppendRowUnchecked({Value(int64_t{-3}), Value(0.25)});
+  table.AppendRowUnchecked({Value::Null(), Value(2.5)});
+  table.AppendRowUnchecked({Value(int64_t{10}), Value::Null()});
+  table.AppendRowUnchecked({Value(int64_t{7}), Value(-1.0)});
+  auto mapped = MapTable(table, MapOptions{});
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  EXPECT_EQ(mapped->attribute(0).labels,
+            (std::vector<std::string>{"-3", "7", "10"}));
+  EXPECT_EQ(Codes(*mapped, 0), (std::vector<int32_t>{2, 0, -1, 2, 1}));
+  EXPECT_EQ(mapped->attribute(1).labels,
+            (std::vector<std::string>{"-1", "0.25", "2.5"}));
+  EXPECT_EQ(Codes(*mapped, 1), (std::vector<int32_t>{2, 1, 2, -1, 0}));
+
+  // The append path looks the cells up by their label text.
+  auto again = MapTableWithAttributes(table, mapped->attributes());
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(Codes(*again, 0), Codes(*mapped, 0));
+  EXPECT_EQ(Codes(*again, 1), Codes(*mapped, 1));
+}
+
+Schema AgeMarriedCarsSchema() {
+  return Schema::Make(
+             {{"Age", AttributeKind::kQuantitative, ValueType::kInt64},
+              {"Married", AttributeKind::kCategorical, ValueType::kString},
+              {"NumCars", AttributeKind::kQuantitative, ValueType::kInt64}})
+      .value();
+}
+
+// The append path maps new rows under frozen metadata: partitioned values
+// clip to the edge intervals, categorical and unpartitioned values must
+// already be in the domain, and each miss names the value.
+TEST(MapperTest, WithAttributesPinned) {
+  Table people = MakePeopleTable();
+  MapOptions options;
+  options.num_intervals_override = 4;
+  auto base = MapTable(people, options);
+  ASSERT_TRUE(base.ok());
+
+  Table delta(AgeMarriedCarsSchema());
+  delta.AppendRowUnchecked(
+      {Value(int64_t{10}), Value("Yes"), Value(int64_t{2})});
+  delta.AppendRowUnchecked({Value(int64_t{99}), Value::Null(), Value::Null()});
+  delta.AppendRowUnchecked(
+      {Value(int64_t{30}), Value("No"), Value(int64_t{0})});
+  auto mapped = MapTableWithAttributes(delta, base->attributes());
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  EXPECT_EQ(Codes(*mapped, 0), (std::vector<int32_t>{0, 3, 2}));
+  EXPECT_EQ(Codes(*mapped, 1), (std::vector<int32_t>{1, -1, 0}));
+  EXPECT_EQ(Codes(*mapped, 2), (std::vector<int32_t>{2, -1, 0}));
+
+  Table new_label(AgeMarriedCarsSchema());
+  new_label.AppendRowUnchecked(
+      {Value(int64_t{30}), Value("Maybe"), Value(int64_t{1})});
+  auto bad_label = MapTableWithAttributes(new_label, base->attributes());
+  ASSERT_FALSE(bad_label.ok());
+  EXPECT_EQ(bad_label.status().ToString(),
+            "InvalidArgument: value 'Maybe' of attribute 'Married' is not in "
+            "the existing domain; re-convert the file to admit new "
+            "categorical values");
+
+  Table new_value(AgeMarriedCarsSchema());
+  new_value.AppendRowUnchecked(
+      {Value(int64_t{30}), Value("No"), Value(int64_t{5})});
+  auto bad_value = MapTableWithAttributes(new_value, base->attributes());
+  ASSERT_FALSE(bad_value.ok());
+  EXPECT_EQ(bad_value.status().ToString(),
+            "InvalidArgument: value 5 of attribute 'NumCars' is not in the "
+            "existing domain; re-convert the file to admit new quantitative "
+            "values");
 }
 
 }  // namespace
