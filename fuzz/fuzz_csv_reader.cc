@@ -3,10 +3,13 @@
 // mutates both the schema and the data it must match. When the table
 // parses, it is also pushed through MapTable (the `qarm convert`
 // partition/map step), covering the full untrusted CSV -> MappedTable
-// pipeline. Property: never crash, abort, or OOM; all defects come back
-// as Status.
+// pipeline, and then through MapTableWithAttributes under the attributes
+// MapTable produced (the `qarm append` path), which must map every row it
+// was derived from. Property: never crash, abort, or OOM; all defects come
+// back as Status.
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 
 #include "partition/mapper.h"
@@ -27,6 +30,8 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   options.minsup = 0.25;
   options.partial_completeness = 1.5;
   auto mapped = qarm::MapTable(*table, options);
-  if (mapped.ok()) (void)mapped->num_rows();
+  if (!mapped.ok()) return 0;
+  auto again = qarm::MapTableWithAttributes(*table, mapped->attributes());
+  if (!again.ok()) std::abort();
   return 0;
 }

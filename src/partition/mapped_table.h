@@ -82,6 +82,9 @@ class MappedTable {
   const std::vector<MappedAttribute>& attributes() const {
     return attributes_;
   }
+  // For the mapper, which fills in each column's domain after construction;
+  // an attribute's kind must not change.
+  MappedAttribute& mutable_attribute(size_t a) { return attributes_[a]; }
 
   int32_t value(size_t row, size_t attr) const {
     return data_[row * attributes_.size() + attr];

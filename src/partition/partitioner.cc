@@ -7,12 +7,12 @@
 
 namespace qarm {
 
-std::vector<Interval> EquiDepthPartition(std::vector<double> values,
+std::vector<Interval> EquiDepthPartition(std::span<const double> values,
                                          size_t num_partitions) {
   QARM_CHECK_GT(num_partitions, 0u);
+  QARM_DCHECK(std::is_sorted(values.begin(), values.end()));
   std::vector<Interval> out;
   if (values.empty()) return out;
-  std::sort(values.begin(), values.end());
 
   const size_t n = values.size();
   size_t begin = 0;
@@ -55,13 +55,13 @@ std::vector<Interval> EquiWidthPartition(double lo, double hi,
   return out;
 }
 
-std::vector<Interval> KMeansPartition(std::vector<double> values,
+std::vector<Interval> KMeansPartition(std::span<const double> values,
                                       size_t num_partitions,
                                       size_t max_iterations) {
   QARM_CHECK_GT(num_partitions, 0u);
+  QARM_DCHECK(std::is_sorted(values.begin(), values.end()));
   std::vector<Interval> out;
   if (values.empty()) return out;
-  std::sort(values.begin(), values.end());
   const size_t n = values.size();
 
   // 1-D k-means over sorted values: clusters are contiguous runs, so the

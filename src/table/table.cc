@@ -120,6 +120,14 @@ void Table::AppendRowUnchecked(const std::vector<Value>& values) {
   ++num_rows_;
 }
 
+void Table::EndRow() {
+  ++num_rows_;
+  QARM_DCHECK(std::all_of(columns_.begin(), columns_.end(),
+                          [&](const Column& c) {
+                            return c.size() == num_rows_;
+                          }));
+}
+
 void Table::Reserve(size_t n) {
   for (Column& col : columns_) col.Reserve(n);
 }

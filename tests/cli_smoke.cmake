@@ -17,3 +17,50 @@ foreach(fmt text json csv)
     message(FATAL_ERROR "expected an Age 34..38 rule in ${fmt} output")
   endif()
 endforeach()
+
+# `qarm convert --stats` adds one "# convert:" line on stderr and leaves
+# the "# wrote" line and the QBT bytes alone.
+set(SCHEMA Age:quant,Married:cat,NumCars:quant)
+foreach(variant plain stats)
+  set(extra)
+  if(variant STREQUAL "stats")
+    set(extra --stats)
+  endif()
+  execute_process(
+    COMMAND ${QARM} convert --input=${WORK_DIR}/people.csv --schema=${SCHEMA}
+            --output=${WORK_DIR}/people-${variant}.qbt --intervals=4 ${extra}
+    ERROR_VARIABLE err_${variant}
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "qarm convert ${extra} exited with ${rc}")
+  endif()
+endforeach()
+if(NOT err_stats MATCHES "# wrote [^\n]*: 5 rows, 1 blocks, [0-9]+ bytes\n")
+  message(FATAL_ERROR "convert --stats lost its '# wrote' line: ${err_stats}")
+endif()
+if(NOT err_stats MATCHES
+   "# convert: rows=5 read_seconds=[0-9]+\\.[0-9]+ map_seconds=[0-9]+\\.[0-9]+ write_seconds=[0-9]+\\.[0-9]+ bytes=[0-9]+\n")
+  message(FATAL_ERROR "convert --stats printed no '# convert:' line: ${err_stats}")
+endif()
+if(err_plain MATCHES "# convert:")
+  message(FATAL_ERROR "convert without --stats printed stats: ${err_plain}")
+endif()
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E compare_files ${WORK_DIR}/people-plain.qbt
+          ${WORK_DIR}/people-stats.qbt
+  RESULT_VARIABLE differs)
+if(differs)
+  message(FATAL_ERROR "convert --stats changed the QBT bytes")
+endif()
+
+# A directory as the input is an IOError naming the path and the reason.
+file(MAKE_DIRECTORY ${WORK_DIR}/people-dir.csv)
+execute_process(
+  COMMAND ${QARM} convert --input=${WORK_DIR}/people-dir.csv
+          --schema=${SCHEMA} --output=${WORK_DIR}/people-dir.qbt
+  ERROR_VARIABLE err
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 1 OR NOT err MATCHES
+   "IOError: cannot read '[^']*people-dir.csv': Is a directory")
+  message(FATAL_ERROR "convert of a directory: exit ${rc}, ${err}")
+endif()

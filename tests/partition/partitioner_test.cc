@@ -9,10 +9,16 @@
 namespace qarm {
 namespace {
 
+// The partitioners take their values sorted ascending.
+std::vector<double> Sorted(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values;
+}
+
 TEST(EquiDepthTest, BalancedOnDistinctValues) {
   std::vector<double> values;
   for (int i = 0; i < 100; ++i) values.push_back(i);
-  std::vector<Interval> parts = EquiDepthPartition(values, 4);
+  std::vector<Interval> parts = EquiDepthPartition(Sorted(values), 4);
   ASSERT_EQ(parts.size(), 4u);
   EXPECT_EQ(parts[0].lo, 0);
   EXPECT_EQ(parts[0].hi, 24);
@@ -26,7 +32,7 @@ TEST(EquiDepthTest, CoversAllValuesDisjointly) {
   for (int i = 0; i < 1000; ++i) {
     values.push_back(rng.LogNormal(3.0, 1.0));
   }
-  std::vector<Interval> parts = EquiDepthPartition(values, 10);
+  std::vector<Interval> parts = EquiDepthPartition(Sorted(values), 10);
   ASSERT_FALSE(parts.empty());
   // Sorted, non-overlapping.
   for (size_t i = 1; i < parts.size(); ++i) {
@@ -44,7 +50,7 @@ TEST(EquiDepthTest, NeverSplitsEqualValues) {
   // 50% of mass on a single value; partitions must keep it intact.
   std::vector<double> values(100, 7.0);
   for (int i = 0; i < 100; ++i) values.push_back(100.0 + i);
-  std::vector<Interval> parts = EquiDepthPartition(values, 10);
+  std::vector<Interval> parts = EquiDepthPartition(Sorted(values), 10);
   int containing = 0;
   for (const Interval& p : parts) {
     if (p.Contains(7.0)) ++containing;
@@ -57,7 +63,7 @@ TEST(EquiDepthTest, DepthsRoughlyEqualOnSkewedData) {
   std::vector<double> values;
   for (int i = 0; i < 10000; ++i) values.push_back(rng.LogNormal(0.0, 1.5));
   std::vector<double> copy = values;
-  std::vector<Interval> parts = EquiDepthPartition(copy, 20);
+  std::vector<Interval> parts = EquiDepthPartition(Sorted(copy), 20);
   ASSERT_EQ(parts.size(), 20u);
   for (const Interval& p : parts) {
     size_t count = 0;
@@ -71,7 +77,7 @@ TEST(EquiDepthTest, DepthsRoughlyEqualOnSkewedData) {
 
 TEST(EquiDepthTest, FewerPartitionsThanRequestedOnDuplicates) {
   std::vector<double> values(1000, 1.0);
-  std::vector<Interval> parts = EquiDepthPartition(values, 5);
+  std::vector<Interval> parts = EquiDepthPartition(Sorted(values), 5);
   ASSERT_EQ(parts.size(), 1u);
   EXPECT_TRUE(parts[0].IsSingleValue());
 }
@@ -98,7 +104,7 @@ TEST(EquiWidthTest, DegenerateRange) {
 TEST(AssignToIntervalTest, EquiDepthAssignment) {
   std::vector<double> values;
   for (int i = 0; i < 100; ++i) values.push_back(i);
-  std::vector<Interval> parts = EquiDepthPartition(values, 4);
+  std::vector<Interval> parts = EquiDepthPartition(Sorted(values), 4);
   EXPECT_EQ(AssignToInterval(parts, 0.0), 0);
   EXPECT_EQ(AssignToInterval(parts, 24.0), 0);
   EXPECT_EQ(AssignToInterval(parts, 25.0), 1);
@@ -127,7 +133,7 @@ TEST(KMeansTest, SeparatesObviousClusters) {
   for (int i = 0; i < 600; ++i) values.push_back(10.0 + (i % 5) * 0.1);
   for (int i = 0; i < 100; ++i) values.push_back(50.0 + (i % 5) * 0.1);
   for (int i = 0; i < 300; ++i) values.push_back(90.0 + (i % 5) * 0.1);
-  std::vector<Interval> parts = KMeansPartition(values, 3);
+  std::vector<Interval> parts = KMeansPartition(Sorted(values), 3);
   ASSERT_EQ(parts.size(), 3u);
   EXPECT_TRUE(parts[0].Contains(10.2));
   EXPECT_FALSE(parts[0].Contains(50.0));
@@ -140,7 +146,7 @@ TEST(KMeansTest, CoversAllValuesDisjointly) {
   std::vector<double> values;
   for (int i = 0; i < 2000; ++i) values.push_back(rng.LogNormal(2.0, 1.0));
   std::vector<double> copy = values;
-  std::vector<Interval> parts = KMeansPartition(copy, 8);
+  std::vector<Interval> parts = KMeansPartition(Sorted(copy), 8);
   ASSERT_FALSE(parts.empty());
   EXPECT_LE(parts.size(), 8u);
   for (size_t i = 1; i < parts.size(); ++i) {
@@ -157,7 +163,7 @@ TEST(KMeansTest, CoversAllValuesDisjointly) {
 TEST(KMeansTest, NeverSplitsEqualValues) {
   std::vector<double> values(500, 3.0);
   for (int i = 0; i < 500; ++i) values.push_back(100.0 + i);
-  std::vector<Interval> parts = KMeansPartition(values, 6);
+  std::vector<Interval> parts = KMeansPartition(Sorted(values), 6);
   int containing = 0;
   for (const Interval& p : parts) {
     if (p.Contains(3.0)) ++containing;
@@ -169,14 +175,14 @@ TEST(KMeansTest, Deterministic) {
   Rng rng(7);
   std::vector<double> values;
   for (int i = 0; i < 500; ++i) values.push_back(rng.Normal(0, 10));
-  auto a = KMeansPartition(values, 5);
-  auto b = KMeansPartition(values, 5);
+  auto a = KMeansPartition(Sorted(values), 5);
+  auto b = KMeansPartition(Sorted(values), 5);
   EXPECT_EQ(a, b);
 }
 
 TEST(KMeansTest, EmptyAndDegenerate) {
   EXPECT_TRUE(KMeansPartition({}, 4).empty());
-  auto one = KMeansPartition({5.0, 5.0, 5.0}, 4);
+  auto one = KMeansPartition(std::vector<double>{5.0, 5.0, 5.0}, 4);
   ASSERT_EQ(one.size(), 1u);
   EXPECT_TRUE(one[0].IsSingleValue());
 }

@@ -53,6 +53,8 @@ const char kUsage[] =
     "  [--minsup --k --intervals --method]   partitioning (fixed at convert)\n"
     "  [--block-rows=N]                      rows per QBT block (default "
     "65536)\n"
+    "  [--stats]                             one '# convert:' line: rows,\n"
+    "                                        read/map/write seconds, bytes\n"
     "\n"
     "qarm append — map new CSV rows under an existing QBT file's metadata\n"
     "and append them as new blocks (existing bytes are never rewritten):\n"

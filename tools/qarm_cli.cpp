@@ -93,12 +93,15 @@ int RunConvert(const CliFlags& flags) {
     return UsageError(Status::InvalidArgument("bad --schema: " +
                                               schema.status().message()));
   }
+  Timer phase;
   auto table = ReadCsv(flags.input, *schema);
   if (!table.ok()) {
     std::fprintf(stderr, "cannot read %s: %s\n", flags.input.c_str(),
                  table.status().ToString().c_str());
     return 1;
   }
+  const double read_seconds = phase.ElapsedSeconds();
+  phase.Reset();
   MapOptions map_options;
   map_options.partial_completeness = options->partial_completeness;
   map_options.minsup = options->minsup;
@@ -110,6 +113,7 @@ int RunConvert(const CliFlags& flags) {
                  mapped.status().ToString().c_str());
     return 1;
   }
+  const double map_seconds = phase.ElapsedSeconds();
   QbtWriteOptions write_options;
   if (flags.block_rows > 0) {
     if (flags.block_rows > std::numeric_limits<uint32_t>::max()) {
@@ -120,17 +124,26 @@ int RunConvert(const CliFlags& flags) {
     write_options.rows_per_block = static_cast<uint32_t>(flags.block_rows);
   }
   QbtWriteInfo info;
+  phase.Reset();
   Status status = WriteQbt(*mapped, flags.output, write_options, &info);
   if (!status.ok()) {
     std::fprintf(stderr, "cannot write %s: %s\n", flags.output.c_str(),
                  status.ToString().c_str());
     return 1;
   }
+  const double write_seconds = phase.ElapsedSeconds();
   std::fprintf(stderr, "# wrote %s: %llu rows, %llu blocks, %llu bytes\n",
                flags.output.c_str(),
                static_cast<unsigned long long>(info.num_rows),
                static_cast<unsigned long long>(info.num_blocks),
                static_cast<unsigned long long>(info.file_bytes));
+  if (flags.show_stats) {
+    std::fprintf(stderr,
+                 "# convert: rows=%zu read_seconds=%.6f map_seconds=%.6f "
+                 "write_seconds=%.6f bytes=%llu\n",
+                 table->num_rows(), read_seconds, map_seconds, write_seconds,
+                 static_cast<unsigned long long>(info.file_bytes));
+  }
   return 0;
 }
 
