@@ -6,6 +6,10 @@
 # json and text, and compares every output byte for byte with the files
 # in tests/golden/.
 #
+# The same mine with --output-rules=mined.qrs pins the rule-set file the
+# miner exports, lift included: the SHA-256 of mined.qrs is compared with
+# mined-qrs.sha256 and its `rules dump --format=json` with mined-dump.json.
+#
 # The JSON mine output embeds run statistics (timings, the detected ISA),
 # so its "stats" object is replaced by a placeholder before comparing.
 #
@@ -46,6 +50,17 @@ run_cli(cli-text-interesting.txt ${MINE} --format=text --interesting-only)
 run_cli(cli-text-itemsets.txt ${MINE} --format=text --itemsets)
 run_cli(dump.json rules dump fixture.qrs --format=json)
 run_cli(dump.txt rules dump fixture.qrs)
+run_cli(cli-csv-mined.txt ${MINE} --format=csv --output-rules=mined.qrs)
+run_cli(mined-dump.json rules dump mined.qrs --format=json)
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E compare_files ${W}/cli-csv-mined.txt
+          ${W}/cli-csv.txt
+  RESULT_VARIABLE differs)
+if(differs)
+  message(FATAL_ERROR "--output-rules changed the CSV on stdout")
+endif()
+file(SHA256 ${W}/mined.qrs mined_digest)
+file(WRITE ${W}/mined-qrs.sha256 "${mined_digest}\n")
 
 # --stats adds one "# render:" line on stderr, counting the bytes written
 # to stdout, and leaves stdout alone.
@@ -79,7 +94,8 @@ endforeach()
 set(GOLDENS
   cli-csv.txt cli-csv-interesting.txt cli-json.txt cli-json-interesting.txt
   cli-text.txt cli-text-interesting.txt cli-text-itemsets.txt
-  dump.json dump.txt serve-match.json serve-topk.json serve-rules.json)
+  dump.json dump.txt mined-qrs.sha256 mined-dump.json serve-match.json
+  serve-topk.json serve-rules.json)
 foreach(name ${GOLDENS})
   if(UPDATE)
     file(COPY ${W}/${name} DESTINATION ${GOLDEN_DIR})
