@@ -28,19 +28,39 @@ inline uint64_t SplitMix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-// FNV-1a over 32-bit words, finalized with splitmix64's mixer.
-inline uint64_t HashInt32Words(const int32_t* data, size_t n) {
-  uint64_t h = 1469598103934665603ULL;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= static_cast<uint32_t>(data[i]);
-    h *= 1099511628211ULL;
-  }
+// The 64->64-bit finalizer of the FNV-1a hashes below.
+inline uint64_t FinalizeFnv1a(uint64_t h) {
   h ^= h >> 33;
   h *= 0xff51afd7ed558ccdULL;
   h ^= h >> 33;
   h *= 0xc4ceb9fe1a85ec53ULL;
   h ^= h >> 33;
   return h;
+}
+
+constexpr uint64_t kFnv1aOffset = 1469598103934665603ULL;
+constexpr uint64_t kFnv1aPrime = 1099511628211ULL;
+
+// FNV-1a over 32-bit words, finalized with splitmix64's mixer.
+inline uint64_t HashInt32Words(const int32_t* data, size_t n) {
+  uint64_t h = kFnv1aOffset;
+  for (size_t i = 0; i < n; ++i) {
+    h ^= static_cast<uint32_t>(data[i]);
+    h *= kFnv1aPrime;
+  }
+  return FinalizeFnv1a(h);
+}
+
+// HashInt32Words of the subsequence of `data` whose positions are the set
+// bits of `keep`, computed in place: a sub-itemset hashes to the same value
+// as the same words stored contiguously.
+inline uint64_t HashInt32WordsMasked(const int32_t* data, uint64_t keep) {
+  uint64_t h = kFnv1aOffset;
+  for (; keep != 0; keep &= keep - 1) {
+    h ^= static_cast<uint32_t>(data[__builtin_ctzll(keep)]);
+    h *= kFnv1aPrime;
+  }
+  return FinalizeFnv1a(h);
 }
 
 // Drop-in hasher for unordered containers keyed by std::vector<int32_t>.

@@ -24,17 +24,20 @@ struct QuantRule {
   double confidence = 0.0;
   // Set by the interest evaluator (true when no interest level is given).
   bool interesting = true;
+  // Records supporting Y alone, the base of the rule's lift; 0 when Y is
+  // not among the frequent itemsets.
+  uint64_t consequent_count = 0;
 
   // X ∪ Y, attribute-sorted.
   RangeItemset UnionItemset() const;
 };
 
 // Generates all rules with confidence >= minconf from the frequent itemsets
-// (reusing ap-genrules over item ids) and decodes them into ranges. With
-// `num_threads > 1` (0 = all hardware cores) both the per-itemset rule
-// generation and the range decode fan out across a worker pool; the rules
-// are identical, in the same order, at any thread count. `threads_used`,
-// when non-null, receives the parallelism actually applied.
+// (ap-genrules over item ids, EmitRuleSplits) and decodes each straight
+// into ranges. With `num_threads > 1` (0 = all hardware cores) both the
+// per-itemset rule generation and the range decode fan out across a worker
+// pool; the rules are identical, in the same order, at any thread count.
+// `threads_used`, when non-null, receives the parallelism actually applied.
 std::vector<QuantRule> GenerateQuantRules(
     const std::vector<FrequentItemset>& itemsets, const ItemCatalog& catalog,
     size_t num_records, double minconf, size_t num_threads = 1,

@@ -1,6 +1,5 @@
 #include "core/rules_export.h"
 
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -27,14 +26,9 @@ StoredRuleSet ExportRuleSet(const MiningResult& result,
   set.minconf = options.minconf;
   set.interest_level = options.interest_level;
 
-  // Consequent-support lookup for the lift measure. RangeItemset orders
-  // lexicographically (RangeItem has a total order), so a std::map keys on
-  // it directly.
-  std::map<RangeItemset, double> support_of;
-  for (const FrequentRangeItemset& frequent : result.frequent_itemsets) {
-    support_of.emplace(frequent.items, frequent.support);
-  }
-
+  // Lift divides by the consequent's support, count / n as the miner
+  // computes it; rulegen carries the count on the rule.
+  const double n = static_cast<double>(set.num_records);
   set.rules.reserve(result.rules.size());
   for (const QuantRule& rule : result.rules) {
     StoredRule stored;
@@ -44,9 +38,9 @@ StoredRuleSet ExportRuleSet(const MiningResult& result,
     stored.support = rule.support;
     stored.confidence = rule.confidence;
     stored.interesting = rule.interesting;
-    auto it = support_of.find(rule.consequent);
-    if (it != support_of.end() && it->second > 0.0) {
-      stored.lift = rule.confidence / it->second;
+    if (rule.consequent_count > 0 && n > 0) {
+      stored.lift =
+          rule.confidence / (static_cast<double>(rule.consequent_count) / n);
     }
     set.rules.push_back(std::move(stored));
   }

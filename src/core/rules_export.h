@@ -3,10 +3,11 @@
 // time to serving time (`qarm mine --output-rules` -> `qarm serve`).
 //
 // Beyond a field-for-field copy, the exporter computes each rule's lift
-// (confidence / support(consequent)) from the frequent-itemset supports:
-// every consequent is a subset of a frequent itemset and hence, by
-// downward closure, usually frequent itself; when its support is absent
-// (e.g. pruned by a range cap) the lift is stored as 0 = unknown.
+// (confidence / support(consequent)) from the consequent's support count,
+// which rule generation looks up in its frequent-itemset index and carries
+// on the rule: every consequent is a subset of a frequent itemset and
+// hence, by downward closure, usually frequent itself; when its count is
+// absent (0) the lift is stored as 0 = unknown.
 #ifndef QARM_CORE_RULES_EXPORT_H_
 #define QARM_CORE_RULES_EXPORT_H_
 

@@ -326,7 +326,8 @@ Result<Table> ParseCsv(CsvRecordReader& in, const Schema& schema) {
 Result<Table> ReadCsv(const std::string& path, const Schema& schema) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
-    return Status::IOError("cannot open '" + path + "' for reading");
+    return Status::IOError("cannot open '" + path +
+                           "' for reading: " + std::strerror(errno));
   }
   // Closes the file however the read ends.
   struct FdCloser {

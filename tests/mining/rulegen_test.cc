@@ -1,10 +1,15 @@
 #include "mining/rulegen.h"
 
 #include <algorithm>
+#include <map>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "core/frequent_items.h"
+#include "core/options.h"
+#include "core/rules.h"
 #include "testutil.h"
 
 namespace qarm {
@@ -127,6 +132,144 @@ TEST(RulegenTest, CompleteEnumeration) {
     expected += (1u << f.items.size()) - 2;  // non-empty proper subsets
   }
   EXPECT_EQ(rules.size(), expected);
+}
+
+// A rule as the reference model enumerates it.
+struct ReferenceRule {
+  std::vector<int32_t> antecedent;
+  std::vector<int32_t> consequent;
+  uint64_t count = 0;
+  double support = 0.0;
+  double confidence = 0.0;
+  uint64_t consequent_count = 0;
+};
+
+// Brute-force rule generation: for each itemset in input order, every
+// non-empty proper subset as the consequent, by size and then
+// lexicographically, kept when its confidence passes minconf. The counts of
+// a family mined from real transactions shrink under supersets, so this is
+// exactly the set ap-genrules reaches by growing consequents.
+std::vector<ReferenceRule> ReferenceRules(
+    const std::vector<FrequentItemset>& itemsets, size_t n, double minconf) {
+  std::map<std::vector<int32_t>, uint64_t> count_of;
+  for (const FrequentItemset& f : itemsets) count_of[f.items] = f.count;
+  std::vector<ReferenceRule> rules;
+  for (const FrequentItemset& f : itemsets) {
+    const size_t k = f.items.size();
+    std::vector<std::pair<std::vector<int32_t>, std::vector<int32_t>>> splits;
+    for (uint32_t mask = 1; k >= 2 && mask + 1 < (1u << k); ++mask) {
+      std::vector<int32_t> antecedent, consequent;
+      for (size_t i = 0; i < k; ++i) {
+        ((mask >> i) & 1 ? consequent : antecedent).push_back(f.items[i]);
+      }
+      splits.emplace_back(std::move(antecedent), std::move(consequent));
+    }
+    std::sort(splits.begin(), splits.end(),
+              [](const auto& a, const auto& b) {
+                if (a.second.size() != b.second.size()) {
+                  return a.second.size() < b.second.size();
+                }
+                return a.second < b.second;
+              });
+    for (auto& [antecedent, consequent] : splits) {
+      const double confidence = static_cast<double>(f.count) /
+                                static_cast<double>(count_of.at(antecedent));
+      if (confidence + 1e-12 < minconf) continue;
+      ReferenceRule rule;
+      rule.consequent_count = count_of.at(consequent);
+      rule.antecedent = std::move(antecedent);
+      rule.consequent = std::move(consequent);
+      rule.count = f.count;
+      rule.support = static_cast<double>(f.count) / static_cast<double>(n);
+      rule.confidence = confidence;
+      rules.push_back(std::move(rule));
+    }
+  }
+  return rules;
+}
+
+// A downward-closed family with consistent counts: every itemset of up to
+// six items frequent in seeded random transactions, shuffled on odd seeds
+// so rule order must follow input order, not size order.
+std::vector<FrequentItemset> RandomFamily(uint64_t seed, int32_t num_items,
+                                          size_t num_transactions) {
+  Rng rng(seed);
+  std::vector<Transaction> transactions(num_transactions);
+  for (Transaction& t : transactions) {
+    for (int32_t item = 0; item < num_items; ++item) {
+      if (rng.Bernoulli(0.45 + 0.07 * (item % 5))) t.push_back(item);
+    }
+  }
+  std::vector<FrequentItemset> family =
+      testutil::BruteForceFrequent(transactions, 0.08, /*max_size=*/6);
+  if (seed % 2 == 1) {
+    for (size_t i = family.size(); i > 1; --i) {
+      std::swap(family[i - 1],
+                family[static_cast<size_t>(rng.UniformInt(
+                    0, static_cast<int64_t>(i) - 1))]);
+    }
+  }
+  return family;
+}
+
+TEST(RulegenReferenceTest, MatchesBruteForce) {
+  constexpr int32_t kItems = 10;
+  constexpr size_t kTransactions = 120;
+  // One categorical attribute whose values are all frequent: item id i is
+  // the catalog's i-th item, so GenerateQuantRules decodes every id.
+  std::vector<std::vector<int32_t>> rows;
+  std::vector<std::string> labels;
+  for (int32_t v = 0; v < kItems; ++v) {
+    labels.push_back("v" + std::to_string(v));
+    rows.push_back({v});
+  }
+  const MappedTable table =
+      testutil::MakeMappedTable({testutil::CatAttr("a", labels)}, rows);
+  MinerOptions options;
+  options.minsup = 0.05;
+  const ItemCatalog catalog = ItemCatalog::Build(table, options);
+  ASSERT_EQ(catalog.num_items(), static_cast<size_t>(kItems));
+
+  bool sharded = false;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    const std::vector<FrequentItemset> family =
+        RandomFamily(seed, kItems, kTransactions);
+    sharded = sharded || family.size() >= 128;
+    for (double minconf : {0.0, 0.5, 1.0}) {
+      const std::vector<ReferenceRule> expected =
+          ReferenceRules(family, kTransactions, minconf);
+      for (size_t threads : {size_t{1}, size_t{4}}) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed << " minconf "
+                                        << minconf << " threads " << threads);
+        const std::vector<BooleanRule> rules =
+            GenerateRules(family, kTransactions, minconf, threads);
+        const std::vector<QuantRule> quant = GenerateQuantRules(
+            family, catalog, kTransactions, minconf, threads);
+        ASSERT_EQ(rules.size(), expected.size());
+        ASSERT_EQ(quant.size(), expected.size());
+        for (size_t i = 0; i < expected.size(); ++i) {
+          const ReferenceRule& want = expected[i];
+          EXPECT_EQ(rules[i].antecedent, want.antecedent) << "rule " << i;
+          EXPECT_EQ(rules[i].consequent, want.consequent) << "rule " << i;
+          EXPECT_EQ(rules[i].count, want.count) << "rule " << i;
+          EXPECT_EQ(rules[i].support, want.support) << "rule " << i;
+          EXPECT_EQ(rules[i].confidence, want.confidence) << "rule " << i;
+          EXPECT_EQ(rules[i].consequent_count, want.consequent_count)
+              << "rule " << i;
+          EXPECT_EQ(quant[i].antecedent, catalog.Decode(want.antecedent))
+              << "rule " << i;
+          EXPECT_EQ(quant[i].consequent, catalog.Decode(want.consequent))
+              << "rule " << i;
+          EXPECT_EQ(quant[i].count, want.count) << "rule " << i;
+          EXPECT_EQ(quant[i].support, want.support) << "rule " << i;
+          EXPECT_EQ(quant[i].confidence, want.confidence) << "rule " << i;
+          EXPECT_EQ(quant[i].consequent_count, want.consequent_count)
+              << "rule " << i;
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(sharded) << "no family reached the parallel cutoff";
 }
 
 }  // namespace

@@ -139,6 +139,19 @@ TEST(CsvTest, ReadMissingFileFails) {
   EXPECT_EQ(table.status().code(), StatusCode::kIOError);
 }
 
+// The open failure names its reason, so a missing file and a permission
+// error read differently.
+TEST(CsvTest, MissingFileNamesTheReason) {
+  const std::string path = testing::TempDir() + "/qarm-no-such-file.csv";
+  std::remove(path.c_str());
+  auto table = ReadCsv(path, PeopleSchema());
+  ASSERT_FALSE(table.ok());
+  EXPECT_EQ(table.status().code(), StatusCode::kIOError);
+  EXPECT_EQ(table.status().message(), "cannot open '" + path +
+                                          "' for reading: " +
+                                          std::strerror(ENOENT));
+}
+
 // --- RFC 4180 quoting ------------------------------------------------------
 
 TEST(CsvTest, QuotedFieldWithComma) {

@@ -593,18 +593,23 @@ int Run(int argc, char** argv) {
     }
   }
 
+  size_t exported_rules = 0;
+  uint64_t export_bytes = 0;
+  double export_seconds = 0.0;
   if (!flags.output_rules.empty()) {
+    Timer export_timer;
     StoredRuleSet rule_set = ExportRuleSet(*result, *options);
-    uint64_t bytes = 0;
-    Status status = WriteRuleSet(rule_set, flags.output_rules, &bytes);
+    Status status = WriteRuleSet(rule_set, flags.output_rules, &export_bytes);
+    export_seconds = export_timer.ElapsedSeconds();
     if (!status.ok()) {
       std::fprintf(stderr, "cannot write %s: %s\n",
                    flags.output_rules.c_str(), status.ToString().c_str());
       return 1;
     }
+    exported_rules = rule_set.rules.size();
     std::fprintf(stderr, "# wrote %s: %zu rules, %llu bytes\n",
-                 flags.output_rules.c_str(), rule_set.rules.size(),
-                 static_cast<unsigned long long>(bytes));
+                 flags.output_rules.c_str(), exported_rules,
+                 static_cast<unsigned long long>(export_bytes));
   }
 
   // Every format streams through one buffered sink; no output is held
@@ -639,6 +644,12 @@ int Run(int argc, char** argv) {
                  "# render: format=%s rules=%zu bytes=%llu seconds=%.6f\n",
                  flags.format.c_str(), printed,
                  static_cast<unsigned long long>(out.bytes()), render_seconds);
+    if (!flags.output_rules.empty()) {
+      std::fprintf(stderr, "# export: rules=%zu bytes=%llu seconds=%.6f\n",
+                   exported_rules,
+                   static_cast<unsigned long long>(export_bytes),
+                   export_seconds);
+    }
     ScanIoStats io = stats.pass1_io;
     for (const PassStats& pass : stats.passes) io += pass.counting.io;
     if (io.blocks_read > 0) {
