@@ -290,8 +290,10 @@ TEST(RulePipelineTest, StatsJsonCarriesPhaseFields) {
 }
 
 TEST(RulePipelineTest, SharedHashMatchesGroupKeyHash) {
-  // GroupKeyHash (counting) and Int32VectorHash (rulegen / interest) must
-  // stay the same function: both delegate to common/hash.h.
+  // GroupKeyHash (counting) and Int32VectorHash (interest) must
+  // stay the same function: both delegate to common/hash.h. Rulegen's
+  // in-place HashInt32WordsMasked must hash a sub-itemset as
+  // HashInt32Words hashes the same words stored contiguously.
   GroupKeyHash group_hash;
   Int32VectorHash vec_hash;
   Rng rng(7);
@@ -303,6 +305,14 @@ TEST(RulePipelineTest, SharedHashMatchesGroupKeyHash) {
     }
     EXPECT_EQ(group_hash(key), vec_hash(key));
     EXPECT_EQ(vec_hash(key), HashInt32Words(key.data(), key.size()));
+    const uint64_t keep =
+        static_cast<uint64_t>(rng.UniformInt(0, (int64_t{1} << len) - 1));
+    std::vector<int32_t> sub;
+    for (size_t i = 0; i < len; ++i) {
+      if ((keep >> i) & 1) sub.push_back(key[i]);
+    }
+    EXPECT_EQ(HashInt32WordsMasked(key.data(), keep),
+              HashInt32Words(sub.data(), sub.size()));
   }
 }
 
